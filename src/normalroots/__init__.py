@@ -19,6 +19,7 @@ from .linalg import (
     classify,
     expi,
     hermitian_eigen,
+    hermitian_eigen_batch,
     normal_eigen,
     operator_norm,
     polar_normal,

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .linalg import (
     DEFAULT_TOL,
+    ConvergenceError,
     LinalgError,
     Tolerances,
     cartesian_parts,
@@ -88,9 +89,11 @@ def _add_common(sub):
 
 
 def _tolerances(args) -> Tolerances:
+    """Tolerances from the flags; ValueError unless each is strictly positive."""
+    structural, residual = args.tol_structural, args.tol_residual
     return Tolerances(
-        structural=args.tol_structural or DEFAULT_TOL.structural,
-        residual=args.tol_residual or DEFAULT_TOL.residual,
+        structural=DEFAULT_TOL.structural if structural is None else structural,
+        residual=DEFAULT_TOL.residual if residual is None else residual,
         sweep=DEFAULT_TOL.sweep,
     )
 
@@ -376,12 +379,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = _tolerances(args)
+    try:
+        tol = _tolerances(args)
+    except ValueError as exc:
+        print(f"normalroots: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     inputs: dict = {}
     start = time.perf_counter()
     try:
         code, results = _HANDLERS[args.command](args, tol, inputs)
-    except (LinalgError, MatrixFormatError, FileNotFoundError) as exc:
+    except (LinalgError, ConvergenceError, MatrixFormatError, FileNotFoundError) as exc:
         print(f"normalroots: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     elapsed = time.perf_counter() - start

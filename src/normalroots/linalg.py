@@ -1,15 +1,26 @@
 """Dense complex linear algebra primitives.
 
 Everything downstream (root construction, theorem checking, the CLI) works on
-plain numpy complex arrays.  This module owns the spectral machinery: a cyclic
-Jacobi eigensolver for complex Hermitian matrices, eigendecomposition of
+plain numpy complex arrays.  This module owns the spectral machinery: two
+Jacobi eigensolvers for complex Hermitian matrices, eigendecomposition of
 normal matrices by simultaneous diagonalization of the Cartesian parts, psd
 nth roots, polar decomposition of normal matrices, and the unitary
 exponential/logarithm pair with the principal branch fixed to (-pi, pi].
+
+The two eigensolvers apply the same input checks and stopping rule:
+
+- ``hermitian_eigen`` runs cyclic Jacobi on one matrix.  Every single
+  factorization in the package goes through it.
+- ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
+  rotating n/2 disjoint pairs of every member at once.  It serves callers
+  that need many small eigensolves together, such as the angle sweep of the
+  numerical-range test.  For one small matrix it is slower than the serial
+  loop, so single solves stay serial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,7 @@ __all__ = [
     "cartesian_parts",
     "recompose",
     "hermitian_eigen",
+    "hermitian_eigen_batch",
     "psd_root",
     "abs_op",
     "normal_eigen",
@@ -91,7 +103,8 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigenvalues (real, ascending) and a unitary eigenvector matrix."""
+    """Eigenvalues (real, ascending) and a unitary eigenvector matrix; for a
+    stack, eigenvalues (B, n) and vectors (B, n, n), one row/matrix per member."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -133,9 +146,28 @@ class MatrixFlags:
         }
 
 
-def fro(M: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
+def fro(M: np.ndarray):
+    """Frobenius norm of a matrix (a float), or of each matrix of a stack
+    (..., n, n) (an array).
+
+    A norm that overflows on finite entries is recomputed on the matrix
+    scaled by an exact power of two, so it is inf only when the true norm is.
+    """
+    M = np.asarray(M)
+    if M.ndim > 2:
+        norm = np.linalg.norm(M, axis=(-2, -1))
+        overflow = np.isinf(norm).any()
+    else:
+        norm = float(np.linalg.norm(M))
+        overflow = norm == math.inf
+    if overflow and np.isfinite(M).all():
+        axes = (-2, -1) if M.ndim > 2 else None
+        peak = np.maximum(np.abs(M.real), np.abs(M.imag)).max(axis=axes, keepdims=True)
+        e = np.frexp(peak)[1]
+        scaled = np.linalg.norm(M * np.ldexp(1.0, -e), axis=axes)
+        norm = np.ldexp(scaled, e.reshape(np.shape(scaled)))
+        norm = norm if M.ndim > 2 else float(norm)
+    return norm
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -256,12 +288,120 @@ def hermitian_eigen(
                 V[:, p] = c * Vp - s * np.conj(u) * Vq
                 V[:, q] = s * u * Vp + c * Vq
     else:
-        converged = _offdiag_norm(A) <= threshold
+        off = _offdiag_norm(A)
+        converged = off <= threshold
     if not converged:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
+        raise ConvergenceError(
+            f"Jacobi did not converge in {max_sweeps} sweeps: "
+            f"off-diagonal norm {off:.3e} > threshold {threshold:.3e}"
+        )
     lam = np.diag(A).real.copy()
     order = np.argsort(lam, kind="stable")
     return HermitianEigen(eigenvalues=lam[order], vectors=V[:, order])
+
+
+def _round_robin(n: int) -> list:
+    """Jacobi pair schedule: n - 1 rounds (n rounds for odd n) of disjoint
+    pairs (p, q), p < q, covering every pair once.
+
+    Circle method: player 0 stays put while the others rotate one seat per
+    round.  Odd n adds a dummy player n; its partner sits the round out.
+    """
+    m = n + n % 2
+    seats = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: m // 2], reversed(seats[m // 2:]))
+            if b < n and a < n
+        ]
+        p, q = (np.array(ix, dtype=np.intp) for ix in zip(*pairs))
+        rounds.append((p, q))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return rounds
+
+
+def hermitian_eigen_batch(
+    H, tol: Tolerances = DEFAULT_TOL, max_sweeps: int = 64
+) -> HermitianEigen:
+    """Eigendecompositions of a stack of complex Hermitian matrices (B, n, n).
+
+    Round-robin Jacobi (Brent & Luk 1985): each round rotates n/2 disjoint
+    pairs of every member at once.  The angle solves the same zeroing
+    condition as ``hermitian_eigen`` but is taken with |theta| <= pi/4,
+    because the larger serial angle stalls under a parallel ordering.  Each
+    member has its own Hermitian test, threshold sweep * (1 + ||H_b||_F) and
+    skip rule, and stops rotating once its off-diagonal norm is below its
+    threshold.  Returns eigenvalues (B, n), ascending per member, and
+    vectors (B, n, n) with columns permuted to match.
+    """
+    A = np.asarray(H, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
+        raise LinalgError(
+            f"H must be a nonempty stack of nonempty square matrices, got shape {A.shape}"
+        )
+    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+        raise LinalgError("H contains non-finite entries")
+    adj = A.conj().transpose(0, 2, 1)
+    defect = fro(A - adj)
+    bad = np.flatnonzero(defect > tol.structural * (1.0 + fro(A)))
+    if bad.size:
+        raise NotHermitianError(
+            f"H[{bad[0]}] is not Hermitian: defect {defect[bad[0]]:.3e}"
+        )
+    A = 0.5 * (A + adj)
+    n = A.shape[1]
+    V = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
+    threshold = tol.sweep * (1.0 + fro(A))
+    skip = threshold / (4.0 * n)
+    offdiag = ~np.eye(n, dtype=bool)
+    rounds = _round_robin(n) if n > 1 else []
+    for _ in range(max_sweeps):
+        active = np.flatnonzero(fro(A * offdiag) > threshold)
+        if active.size == 0:
+            break
+        # Work on the unconverged members only, as the serial loop would.
+        Ab, Vb, skip_b = A[active], V[active], skip[active, None]
+        for p, q in rounds:
+            apq = Ab[:, p, q]
+            mag = np.abs(apq)
+            d = (Ab[:, q, q] - Ab[:, p, p]).real
+            rot = mag > skip_b
+            # A skipped pair gets theta = 0, an exact identity rotation.
+            theta = 0.5 * np.arctan2(np.copysign(2.0, d) * np.where(rot, mag, 0.0), np.abs(d))
+            c = np.cos(theta)
+            su = np.sin(theta) * apq / np.where(rot, mag, 1.0)
+            suc = su.conj()
+            cc, su_c, suc_c = c[:, None, :], su[:, None, :], suc[:, None, :]
+            Ap, Aq = Ab[:, :, p], Ab[:, :, q]
+            Ab[:, :, p] = cc * Ap - suc_c * Aq
+            Ab[:, :, q] = su_c * Ap + cc * Aq
+            Rp, Rq = Ab[:, p, :], Ab[:, q, :]
+            Ab[:, p, :] = c[..., None] * Rp - su[..., None] * Rq
+            Ab[:, q, :] = suc[..., None] * Rp + c[..., None] * Rq
+            Ab[:, p, q] = np.where(rot, 0.0, Ab[:, p, q])
+            Ab[:, q, p] = np.where(rot, 0.0, Ab[:, q, p])
+            Ab[:, p, p] = Ab[:, p, p].real
+            Ab[:, q, q] = Ab[:, q, q].real
+            Vp, Vq = Vb[:, :, p], Vb[:, :, q]
+            Vb[:, :, p] = cc * Vp - suc_c * Vq
+            Vb[:, :, q] = su_c * Vp + cc * Vq
+        A[active], V[active] = Ab, Vb
+    else:
+        off = fro(A * offdiag)
+        worst = int(np.argmax(off / threshold))
+        if off[worst] > threshold[worst]:
+            raise ConvergenceError(
+                f"Jacobi did not converge in {max_sweeps} sweeps: member {worst} "
+                f"off-diagonal norm {off[worst]:.3e} > threshold {threshold[worst]:.3e}"
+            )
+    lam = np.diagonal(A, axis1=1, axis2=2).real
+    order = np.argsort(lam, axis=1, kind="stable")
+    return HermitianEigen(
+        eigenvalues=np.take_along_axis(lam, order, axis=1),
+        vectors=np.take_along_axis(V, order[:, None, :], axis=2),
+    )
 
 
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -28,6 +28,7 @@ from .linalg import (
     expi,
     fro,
     hermitian_eigen,
+    hermitian_eigen_batch,
     is_hermitian,
     require_hermitian,
 )
@@ -142,11 +143,12 @@ class RangeCertificate:
     indeterminate: bool = False
 
 
-def _rotated_min(M: np.ndarray, theta: float, tol: Tolerances):
-    H = 0.5 * (np.exp(1j * theta) * M + np.exp(-1j * theta) * M.conj().T)
-    eig = hermitian_eigen(H, tol)
-    x = eig.vectors[:, 0]
-    return float(eig.eigenvalues[0]), x
+def _rotated_min(M: np.ndarray, thetas: np.ndarray, tol: Tolerances):
+    """lambda_min of Re(e^{i theta} M) and a unit eigenvector for it, for
+    each angle, from one stacked eigensolve."""
+    R = np.exp(1j * thetas)[:, None, None] * M
+    eig = hermitian_eigen_batch(0.5 * (R + R.conj().transpose(0, 2, 1)), tol)
+    return eig.eigenvalues[:, 0], eig.vectors[:, :, 0]
 
 
 def _quadratic_form(M: np.ndarray, x: np.ndarray) -> complex:
@@ -213,9 +215,11 @@ def numerical_range_contains_zero(
 
     0 is outside W(M) iff some rotation angle theta gives
     lambda_min(Re(e^{i theta} M)) > 0; the angle is found by a uniform sweep
-    plus ternary refinement.  Hermitian input short-circuits to the interval
-    test on the spectrum.  Best margins within the indeterminate band of zero
-    are flagged rather than trusted.
+    plus ternary refinement.  The sweep is one stacked eigensolve
+    (hermitian_eigen_batch) over all grid angles, and each refinement step
+    is one more over its two angles.  Hermitian input short-circuits to the
+    interval test on the spectrum.  Best margins within the indeterminate
+    band of zero are flagged rather than trusted.
     """
     M = as_matrix(M, "M")
     n = M.shape[0]
@@ -245,10 +249,7 @@ def numerical_range_contains_zero(
         )
 
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    margins = np.empty(grid)
-    vectors = np.empty((grid, n), dtype=complex)
-    for j, th in enumerate(thetas):
-        margins[j], vectors[j] = _rotated_min(M, float(th), tol)
+    margins, vectors = _rotated_min(M, thetas, tol)
     j_best = int(np.argmax(margins))
 
     # Ternary refinement of the best angle.
@@ -258,8 +259,7 @@ def numerical_range_contains_zero(
     for _ in range(refine_steps):
         t1 = lo_t + (hi_t - lo_t) / 3.0
         t2 = hi_t - (hi_t - lo_t) / 3.0
-        m1, _ = _rotated_min(M, t1, tol)
-        m2, _ = _rotated_min(M, t2, tol)
+        m1, m2 = _rotated_min(M, np.array([t1, t2]), tol)[0].tolist()
         if m1 >= m2:
             hi_t = t2
             if m1 > best_margin:
@@ -274,7 +274,7 @@ def numerical_range_contains_zero(
 
     # 0 lies in (or on the boundary of) W(M): produce a vector witness from
     # the pair of boundary points whose chord passes closest to 0.
-    w = np.array([_quadratic_form(M, vectors[j]) for j in range(grid)])
+    w = np.einsum("ji,ik,jk->j", vectors.conj(), M, vectors)
     d = w[:, None] - w[None, :]
     denom = np.abs(d) ** 2
     denom[denom == 0.0] = 1.0

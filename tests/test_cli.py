@@ -225,3 +225,36 @@ def test_cli_tolerance_flags_recorded(tmp_path):
     rpt = tmp_path / "r.json"
     assert main(["sqrt", n_path, "--tol-residual", "1e-8", "--json", str(rpt)]) == 0
     assert _read_report(rpt)["tolerances"]["residual"] == 1e-8
+
+
+@pytest.mark.parametrize("flag", ["--tol-structural", "--tol-residual"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_cli_nonpositive_tolerance_exits_64(tmp_path, capsys, flag, value):
+    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    assert main(["range", n_path, flag, value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "strictly positive" in captured.err
+
+
+def test_cli_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
+    from normalroots import cli
+    from normalroots.linalg import ConvergenceError
+
+    def stalled(args, tol, inputs):
+        raise ConvergenceError("Jacobi did not converge in 64 sweeps")
+
+    monkeypatch.setitem(cli._HANDLERS, "range", stalled)
+    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    assert main(["range", n_path]) == 1
+    err = capsys.readouterr().err
+    assert err == "normalroots: Jacobi did not converge in 64 sweeps\n"
+
+
+def test_cli_range_large_scale(tmp_path):
+    m_path = _write(tmp_path, "M.mat", 1e200 * np.eye(3, dtype=complex))
+    rpt = tmp_path / "r.json"
+    assert main(["range", m_path, "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert results["contains_zero"] is False and results["indeterminate"] is False
+    assert results["witness_angle"] == 0.0

@@ -15,6 +15,7 @@ from normalroots.linalg import (
     expi,
     fro,
     hermitian_eigen,
+    hermitian_eigen_batch,
     normal_eigen,
     operator_norm,
     polar_normal,
@@ -118,6 +119,91 @@ def test_eigen_invariants_property(seed, n):
     assert fro(e.vectors.conj().T @ e.vectors - np.eye(n)) <= 1e-12 * n
     recon = (e.vectors * e.eigenvalues) @ e.vectors.conj().T
     assert fro(recon - H) <= 1e-11 * (1.0 + fro(H))
+
+
+def test_fro_survives_overflow():
+    M = np.full((2, 2), 1e300 + 1e300j)
+    assert fro(M) == pytest.approx(2.0 * np.sqrt(2.0) * 1e300, rel=1e-15)
+    stack = np.stack([M, np.eye(2)])
+    assert np.allclose(fro(stack), [fro(M), np.sqrt(2.0)], rtol=1e-15)
+    assert fro(np.array([[np.inf, 0.0], [0.0, 0.0]])) == np.inf
+    H = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert fro(H) == float(np.linalg.norm(H))
+
+
+def test_eigen_large_scale():
+    # ||H||_F overflows in a plain sum of squares; the threshold must not.
+    e = hermitian_eigen(1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(e.eigenvalues, [1e200, 3e200], rtol=1e-12, atol=0.0)
+    b = hermitian_eigen_batch(1e200 * np.array([[[2.0, 1.0], [1.0, 2.0]]]))
+    assert np.allclose(b.eigenvalues, [[1e200, 3e200]], rtol=1e-12, atol=0.0)
+
+
+def test_eigen_convergence_error_reports_state():
+    H = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
+    with pytest.raises(ConvergenceError, match=r"in 0 sweeps: off-diagonal norm 2\.\d+e\+00"):
+        hermitian_eigen(H, max_sweeps=0)
+    with pytest.raises(ConvergenceError, match=r"in 0 sweeps: member 1 off-diagonal norm"):
+        hermitian_eigen_batch(np.stack([np.eye(3), H]), max_sweeps=0)
+
+
+# --- hermitian_eigen_batch --------------------------------------------------
+
+
+def _check_batch(H, tol_scale=1e-12):
+    e = hermitian_eigen_batch(H)
+    nb, n, _ = H.shape
+    assert e.eigenvalues.shape == (nb, n) and e.vectors.shape == (nb, n, n)
+    scale = 1.0 + np.linalg.norm(H, axis=(1, 2))
+    V = e.vectors
+    err = np.abs(e.eigenvalues - np.linalg.eigvalsh(H)).max(axis=1)
+    assert np.all(err <= tol_scale * scale)
+    residual = np.linalg.norm(H @ V - V * e.eigenvalues[:, None, :], axis=(1, 2))
+    assert np.all(residual <= 10 * tol_scale * scale)
+    unitary = np.linalg.norm(V.conj().transpose(0, 2, 1) @ V - np.eye(n), axis=(1, 2))
+    assert np.all(unitary <= tol_scale * n)
+    for h, lam in zip(H, e.eigenvalues):
+        serial = hermitian_eigen(h).eigenvalues
+        assert np.abs(lam - serial).max() <= tol_scale * (1.0 + fro(h))
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_eigen_batch_random_stack(rng, n):
+    _check_batch(np.stack([random_hermitian(rng, n, scale=s) for s in (0.1, 1.0, 7.0, 1.0)]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_eigen_batch_repeated_eigenvalues(rng, n):
+    lam = np.repeat([-1.0, 2.0], [n // 2, n - n // 2])
+    H = np.stack([(U * lam) @ U.conj().T for U in (random_unitary(rng, n) for _ in range(3))])
+    e = _check_batch(H)
+    assert np.allclose(e.eigenvalues, lam, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_eigen_batch_equal_diagonals(n):
+    # a_pp = a_qq everywhere: every first rotation takes theta = pi/4.
+    upper = np.triu(np.full((n, n), 1.0 + 1j), 1)
+    H = upper + upper.conj().T + 2.0 * np.eye(n)
+    _check_batch(np.stack([H, np.ones((n, n)), np.zeros((n, n))]))
+
+
+def test_eigen_batch_zero_stack():
+    e = hermitian_eigen_batch(np.zeros((4, 3, 3)))
+    assert np.array_equal(e.eigenvalues, np.zeros((4, 3)))
+    assert np.array_equal(e.vectors, np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+def test_eigen_batch_rejects_bad_member(rng):
+    H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    H[2, 0, 1] += 1.0
+    with pytest.raises(NotHermitianError, match=r"H\[2\]"):
+        hermitian_eigen_batch(H)
+    with pytest.raises(LinalgError):
+        hermitian_eigen_batch(np.eye(3))
+    with pytest.raises(LinalgError):
+        hermitian_eigen_batch(np.full((1, 2, 2), np.nan))
 
 
 # --- psd_root / abs_op ------------------------------------------------------

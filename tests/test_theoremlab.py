@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normalroots import theoremlab
 from normalroots.linalg import LinalgError, cartesian_parts, fro, hermitian_eigen
 from normalroots.sampling import random_hermitian, random_psd, random_unitary
 from normalroots.theoremlab import (
@@ -183,6 +184,56 @@ def test_range_hermitian_matches_interval(rng):
         lam = hermitian_eigen(H).eigenvalues
         rc = numerical_range_contains_zero(H)
         assert rc.contains_zero == (lam[0] <= 0.0 <= lam[-1])
+
+
+def test_range_seeded_campaign():
+    # Verdicts known by construction: trace zero puts tr(M)/d in W(M); a shift
+    # by 1.5 ||G||_2 in any direction moves the disc holding W(M) off 0.
+    rng = np.random.default_rng(1801)
+    for j in range(40):
+        d = 2 + j % 5
+        G = random_dense(rng, d)
+        if j % 2 == 0:
+            M = G - np.trace(G) / d * np.eye(d)
+        else:
+            phi = rng.uniform(-np.pi, np.pi)
+            M = G + 1.5 * np.linalg.norm(G, 2) * np.exp(1j * phi) * np.eye(d)
+        norm = np.linalg.norm(M, 2)
+        rc = numerical_range_contains_zero(M)
+        assert not rc.indeterminate
+        assert rc.contains_zero == (j % 2 == 0)
+        if rc.contains_zero:
+            x = rc.witness_vector
+            assert abs(x.conj() @ M @ x) <= 1e-9 * norm
+        else:
+            R = np.exp(1j * rc.witness_angle) * M
+            ref = np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0]
+            assert ref > 0.0
+            assert abs(rc.margin - ref) <= 1e-9 * norm
+
+
+def test_range_eigensolve_count(monkeypatch, rng):
+    calls = {"batch": 0, "serial": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
+                        counted("batch", theoremlab.hermitian_eigen_batch))
+    monkeypatch.setattr(theoremlab, "hermitian_eigen",
+                        counted("serial", theoremlab.hermitian_eigen))
+    numerical_range_contains_zero(random_dense(rng, 4), refine_steps=30)
+    assert calls == {"batch": 31, "serial": 0}
+
+
+def test_range_large_scale_is_decisive():
+    rc = numerical_range_contains_zero(1e200 * np.eye(3))
+    assert not rc.contains_zero and not rc.indeterminate
+    assert rc.witness_angle == 0.0
+    assert rc.margin == pytest.approx(1e200, rel=1e-12)
 
 
 # --- zero square -------------------------------------------------------------
