@@ -1,6 +1,7 @@
 """Executable checks for the structural results on square roots.
 
-Machinery: a dense Sylvester solver (Kronecker vectorization), spectra
+Machinery: a dense Sylvester solver (closed form in the shared eigenbasis
+for Hermitian coefficients, Kronecker vectorization otherwise), spectra
 disjointness tests, the root-of-self-adjoint classifier, numerical-range
 membership with certified witnesses, the zero-square (nilpotent) checks, the
 commutator identities for T and T^2, the normality biconditional under a
@@ -22,7 +23,6 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgError,
     Tolerances,
-    abs_op,
     as_matrix,
     cartesian_parts,
     expi,
@@ -72,6 +72,12 @@ class SylvesterProblem:
     s: np.ndarray
 
 
+def _spectral_gap(la, lb, norm_a: float, norm_b: float, tol: Tolerances) -> tuple[bool, float]:
+    """min |la_i - lb_j| and whether it exceeds structural * (1 + |a| + |b|)."""
+    gap = float(np.min(np.abs(np.subtract.outer(la, lb))))
+    return gap > tol.structural * (1.0 + norm_a + norm_b), gap
+
+
 def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether two Hermitian matrices have disjoint spectra; returns the
     minimal eigenvalue gap alongside."""
@@ -79,18 +85,31 @@ def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     b = as_matrix(b, "b")
     la = hermitian_eigen(a, tol).eigenvalues
     lb = hermitian_eigen(b, tol).eigenvalues
-    gap = float(np.min(np.abs(la[:, None] - lb[None, :])))
-    gap_tol = tol.structural * (1.0 + fro(a) + fro(b))
-    return gap > gap_tol, gap
+    return _spectral_gap(la, lb, fro(a), fro(b), tol)
+
+
+def _negation_disjoint(A: np.ndarray, tol: Tolerances) -> bool:
+    """spectra_disjoint(A, -A) from one eigensolve: spec(-A) = -spec(A)."""
+    lam = hermitian_eigen(A, tol).eigenvalues
+    norm = fro(A)
+    return _spectral_gap(lam, -lam, norm, norm, tol)[0]
 
 
 def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve a @ X - X @ b = s by dense vectorization.
+    """Solve a @ X - X @ b = s; dimension capped at 32 on both paths.
 
-    The n^2 x n^2 system (I kron a - b^T kron I) vec X = vec s is solved with
-    partial-pivoting elimination; capped at dim 32.  A singular or
-    numerically singular system (intersecting spectra) raises
-    SingularSylvesterError.
+    Hermitian a and b (both pass is_hermitian): one stacked eigensolve
+    a = Va diag(lam) Va*, b = Vb diag(mu) Vb* serves the gap check and the
+    closed form X = Va [(Va* s Vb)_ij / (lam_i - mu_j)] Vb* (Bartels &
+    Stewart 1972), followed by one step of iterative refinement on the
+    residual s - (a X - X b) of the original a and b.
+
+    Any other input: the n^2 x n^2 system (I kron a - b^T kron I) vec X =
+    vec s is solved with partial-pivoting elimination.
+
+    Intersecting spectra (gap within structural * (1 + |a|_F + |b|_F) on the
+    Hermitian path), a singular system, or a final residual above
+    residual * (1 + |s|_F) raise SingularSylvesterError.
     """
     a = as_matrix(problem.a, "a")
     b = as_matrix(problem.b, "b")
@@ -101,18 +120,28 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     if n > SYLVESTER_MAX_DIM:
         raise LinalgError(f"dense Sylvester solve capped at dim {SYLVESTER_MAX_DIM}")
     if is_hermitian(a, tol) and is_hermitian(b, tol):
-        disjoint, gap = spectra_disjoint(a, b, tol)
+        eig = hermitian_eigen_batch(np.stack([a, b]), tol)
+        (la, lb), (Va, Vb) = eig.eigenvalues, eig.vectors
+        disjoint, gap = _spectral_gap(la, lb, fro(a), fro(b), tol)
         if not disjoint:
             raise SingularSylvesterError(
                 f"spectra of a and b intersect (min gap {gap:.3e})"
             )
-    eye = np.eye(n)
-    K = np.kron(eye, a) - np.kron(b.T, eye)
-    try:
-        x = np.linalg.solve(K, s.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSylvesterError(f"singular Sylvester system: {exc}") from exc
-    X = x.reshape((n, n), order="F")
+        denom = np.subtract.outer(la, lb)
+
+        def closed_form(r: np.ndarray) -> np.ndarray:
+            return Va @ ((Va.conj().T @ r @ Vb) / denom) @ Vb.conj().T
+
+        X = closed_form(s)
+        X = X + closed_form(s - (a @ X - X @ b))
+    else:
+        eye = np.eye(n)
+        K = np.kron(eye, a) - np.kron(b.T, eye)
+        try:
+            x = np.linalg.solve(K, s.flatten(order="F"))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSylvesterError(f"singular Sylvester system: {exc}") from exc
+        X = x.reshape((n, n), order="F")
     residual = fro(a @ X - X @ b - s)
     if residual > tol.residual * (1.0 + fro(s)):
         raise SingularSylvesterError(
@@ -339,11 +368,12 @@ def classify_root_of_selfadjoint(
     inv_band = tol.structural * scale
 
     def invertible() -> bool:
-        smin = hermitian_eigen(abs_op(T, tol), tol).eigenvalues[0]
-        return float(smin) > inv_band
+        # sigma_min(T) = sqrt(lambda_min(T* T)), the smallest eigenvalue of |T|.
+        G = T.conj().T @ T
+        lam_min = float(hermitian_eigen(0.5 * (G + G.conj().T), tol).eigenvalues[0])
+        return float(np.sqrt(max(lam_min, 0.0))) > inv_band
 
-    disjoint_a, _ = spectra_disjoint(A, -A, tol)
-    if disjoint_a:
+    if _negation_disjoint(A, tol):
         ok = fro(B) <= small and invertible()
         return ClassificationVerdict(
             case="selfadjoint_invertible",
@@ -355,8 +385,7 @@ def classify_root_of_selfadjoint(
                 f"T is not a self-adjoint invertible root (||Im T|| = {fro(B):.3e})"
             ),
         )
-    disjoint_b, _ = spectra_disjoint(B, -B, tol)
-    if disjoint_b:
+    if _negation_disjoint(B, tol):
         ok = fro(A) <= small and invertible()
         return ClassificationVerdict(
             case="skew_invertible",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normalroots import theoremlab
+from normalroots import linalg, theoremlab
 from normalroots.linalg import LinalgError, cartesian_parts, fro, hermitian_eigen
 from normalroots.sampling import random_hermitian, random_psd, random_unitary
 from normalroots.theoremlab import (
@@ -75,6 +75,76 @@ def test_sylvester_dimension_cap():
         sylvester_solve(SylvesterProblem(big, 2 * big, big))
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _with_spectrum(rng, lam):
+    U = random_unitary(rng, len(lam))
+    H = (U * lam) @ U.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 32])
+def test_sylvester_hermitian_forward_error(d):
+    rng = np.random.default_rng(4100 + d)
+    a = _with_spectrum(rng, rng.uniform(1.0, 2.0, d))
+    b = _with_spectrum(rng, rng.uniform(-2.0, -1.0, d))
+    X0 = random_dense(rng, d)
+    X = sylvester_solve(SylvesterProblem(a, b, a @ X0 - X0 @ b))
+    assert fro(X - X0) <= 1e-12 * fro(X0)
+
+
+def test_sylvester_hermitian_path_makes_one_stacked_eigensolve(monkeypatch, rng):
+    calls = {"batch": 0, "serial": 0, "solve": 0}
+    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
+                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    monkeypatch.setattr(theoremlab, "hermitian_eigen",
+                        _counted(calls, "serial", theoremlab.hermitian_eigen))
+    monkeypatch.setattr(np.linalg, "solve", _counted(calls, "solve", np.linalg.solve))
+    a = _with_spectrum(rng, rng.uniform(1.0, 2.0, 6))
+    b = _with_spectrum(rng, rng.uniform(-2.0, -1.0, 6))
+    S = random_dense(rng, 6)
+    X = sylvester_solve(SylvesterProblem(a, b, S))
+    assert calls == {"batch": 1, "serial": 0, "solve": 0}
+    assert fro(a @ X - X @ b - S) <= 1e-9 * (1.0 + fro(S))
+
+
+def test_sylvester_nonhermitian_uses_kronecker(monkeypatch, rng):
+    calls = {"batch": 0, "solve": 0}
+    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
+                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    monkeypatch.setattr(np.linalg, "solve", _counted(calls, "solve", np.linalg.solve))
+    # Triangular with disjoint diagonals: spectra {1, 2, 3, 4} and {-1, -2, -3, -4}.
+    a = np.triu(random_dense(rng, 4), 1) + np.diag([1.0, 2.0, 3.0, 4.0])
+    b = np.triu(random_dense(rng, 4), 1) - np.diag([1.0, 2.0, 3.0, 4.0])
+    S = random_dense(rng, 4)
+    X = sylvester_solve(SylvesterProblem(a, b, S))
+    assert calls == {"batch": 0, "solve": 1}
+    assert fro(a @ X - X @ b - S) <= 1e-9 * (1.0 + fro(S))
+
+
+def test_sylvester_nearly_hermitian_meets_residual_bound(rng):
+    d = 8
+    a = _with_spectrum(rng, rng.uniform(1.0, 2.0, d))
+    b = _with_spectrum(rng, rng.uniform(-2.0, -1.0, d))
+    # A non-Hermitian perturbation just inside the structural tolerance.
+    E = random_dense(rng, d)
+    E = E - E.conj().T
+    a = a + 0.4e-10 * (1.0 + fro(a)) / fro(E) * E
+    assert theoremlab.is_hermitian(a) and fro(a - a.conj().T) > 0.0
+    S = random_dense(rng, d)
+    X = sylvester_solve(SylvesterProblem(a, b, S))
+    residual = fro(a @ X - X @ b - S)
+    assert residual <= 1e-9 * (1.0 + fro(S))
+    # The eigenbasis is that of the Hermitian part of a; refinement against
+    # a itself removes the ~1e-11 residual the skew perturbation leaves.
+    assert residual <= 1e-13 * (1.0 + fro(S))
+
+
 def test_spectra_disjoint_examples():
     ok, gap = spectra_disjoint(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert ok and gap == pytest.approx(1.0)
@@ -117,6 +187,24 @@ def test_classify_numerical_range_path():
     v = classify_root_of_selfadjoint(T, T @ T)
     assert v.case == "selfadjoint_invertible"
     assert v.violation is None
+
+
+@pytest.mark.parametrize("skew, solves", [(False, 2), (True, 3)])
+def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
+    # One eigensolve per Cartesian part tested and one of T*T; the library
+    # module is patched too so that solves made inside linalg are counted.
+    calls = {"serial": 0, "batch": 0}
+    serial = _counted(calls, "serial", linalg.hermitian_eigen)
+    monkeypatch.setattr(linalg, "hermitian_eigen", serial)
+    monkeypatch.setattr(theoremlab, "hermitian_eigen", serial)
+    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
+                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    H = _with_spectrum(rng, rng.uniform(0.5, 2.0, 5))
+    T = 1j * H if skew else H
+    v = classify_root_of_selfadjoint(T, T @ T)
+    assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
+    assert v.violation is None
+    assert calls == {"serial": solves, "batch": 0}
 
 
 def test_classify_precondition():
