@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import (
     cartesian_parts,
     classify,
     fro,
+    hermitian_eigen,
     operator_norm,
 )
 from .matio import MatrixFormatError, load_matrix, save_matrix
@@ -68,9 +70,12 @@ def _jsonable(value):
     return value
 
 
-def _digest(path: str) -> str:
+def _load(path: str, inputs: dict) -> np.ndarray:
+    """The matrix in the file at path; records the file's sha256 in inputs."""
+    M = load_matrix(path)
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        inputs[path] = hashlib.sha256(fh.read()).hexdigest()
+    return M
 
 
 def _certificate_dict(cert) -> dict:
@@ -122,8 +127,9 @@ def build_parser() -> _Parser:
     p = subs.add_parser("root", help="nth root via the polar decomposition")
     p.add_argument("matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=0, help="branch integer (default 0)")
-    p.add_argument("--all-branches", action="store_true", help="enumerate k = 0..n-1")
+    branch = p.add_mutually_exclusive_group()
+    branch.add_argument("--k", type=int, help="branch integer (default 0)")
+    branch.add_argument("--all-branches", action="store_true", help="enumerate k = 0..n-1")
     p.add_argument("--out", metavar="PATH", help="root matrix (branch k, or k=0 with --all-branches)")
     _add_common(p)
 
@@ -170,8 +176,7 @@ def build_parser() -> _Parser:
 
 
 def _run_decompose(args, tol, inputs):
-    M = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    M = _load(args.matrix, inputs)
     pair = cartesian_parts(M, tol)
     if args.out_re:
         save_matrix(args.out_re, pair.re)
@@ -187,8 +192,7 @@ def _run_decompose(args, tol, inputs):
 
 
 def _run_sqrt(args, tol, inputs, spectral: bool):
-    N = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    N = _load(args.matrix, inputs)
     if spectral:
         cert = spectral_sqrt(N, tol)
         results = _certificate_dict(cert)
@@ -203,11 +207,10 @@ def _run_sqrt(args, tol, inputs, spectral: bool):
 
 
 def _run_root(args, tol, inputs):
-    N = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    N = _load(args.matrix, inputs)
     if args.n < 1:
         raise LinalgError("--n must be a positive integer")
-    branches = list(range(args.n)) if args.all_branches else [args.k]
+    branches = list(range(args.n)) if args.all_branches else [args.k or 0]
     certs = [nth_root(N, args.n, k, tol) for k in branches]
     if args.out:
         save_matrix(args.out, certs[0].root)
@@ -215,11 +218,7 @@ def _run_root(args, tol, inputs):
 
 
 def _run_sylvester(args, tol, inputs):
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    s = load_matrix(args.s)
-    for path in (args.a, args.b, args.s):
-        inputs[path] = _digest(path)
+    a, b, s = (_load(path, inputs) for path in (args.a, args.b, args.s))
     X = sylvester_solve(SylvesterProblem(a=a, b=b, s=s), tol)
     if args.out:
         save_matrix(args.out, X)
@@ -230,61 +229,27 @@ def _run_sylvester(args, tol, inputs):
 
 
 def _run_classify(args, tol, inputs):
-    T = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
-    if args.target:
-        C = load_matrix(args.target)
-        inputs[args.target] = _digest(args.target)
-    else:
-        C = T @ T
+    T = _load(args.matrix, inputs)
+    C = _load(args.target, inputs) if args.target else T @ T
     verdict = classify_root_of_selfadjoint(T, C, tol)
-    results = {
-        "case": verdict.case,
-        "evidence": verdict.evidence,
-        "residual": verdict.residual,
-        "system_residuals": list(verdict.system_residuals),
-        "violation": verdict.violation,
-    }
-    code = EXIT_VIOLATION if verdict.violation else EXIT_OK
-    return code, results
+    return EXIT_VIOLATION if verdict.violation else EXIT_OK, asdict(verdict)
 
 
 def _run_zero_square(args, tol, inputs):
-    T = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    T = _load(args.matrix, inputs)
     report = check_zero_square(T, tol)
-    results = {
-        "norm_t": report.norm_t,
-        "square_norm": report.square_norm,
-        "hypotheses": report.hypotheses,
-        "conclusion_zero": report.conclusion_zero,
-        "re_margins": list(report.re_margins),
-        "im_margins": list(report.im_margins),
-        "re_indefinite": report.re_indefinite,
-        "im_indefinite": report.im_indefinite,
-        "violation": report.violation,
-    }
-    code = EXIT_VIOLATION if report.violation else EXIT_OK
-    return code, results
+    results = asdict(report)
+    del results["system_residuals"]
+    return EXIT_VIOLATION if report.violation else EXIT_OK, results
 
 
 def _run_range(args, tol, inputs):
-    M = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
-    rc = numerical_range_contains_zero(M, tol)
-    return EXIT_OK, {
-        "contains_zero": rc.contains_zero,
-        "margin": rc.margin,
-        "witness_angle": rc.witness_angle,
-        "witness_vector": rc.witness_vector,
-        "witness_value": rc.witness_value,
-        "indeterminate": rc.indeterminate,
-    }
+    M = _load(args.matrix, inputs)
+    return EXIT_OK, asdict(numerical_range_contains_zero(M, tol))
 
 
 def _run_commutators(args, tol, inputs):
-    T = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    T = _load(args.matrix, inputs)
     r1, r2 = commutator_identities(T, tol)
     bound = 1e-11 * (1.0 + fro(T) ** 3)
     return EXIT_OK, {
@@ -299,8 +264,6 @@ def _run_volterra(args, tol, inputs):
     if args.n < 1:
         raise LinalgError("--n must be a positive integer")
     V = volterra_matrix(args.n)
-    from .linalg import hermitian_eigen
-
     re_part = cartesian_parts(V, tol).re
     lam_min = float(hermitian_eigen(re_part, tol).eigenvalues[0])
     return EXIT_OK, {
@@ -316,8 +279,11 @@ def _run_nilpotent_search(args, tol, inputs):
     if args.trials < 1 or args.dim < 1:
         raise LinalgError("--trials and --dim must be positive")
     violations = []
-    margins = {"re_min": [], "re_max": [], "im_min": [], "im_max": []}
     nonzero = 0
+    # Worst case over the campaign: how close any nonzero sample came to
+    # having a sign-definite Cartesian part.
+    re_lo = im_lo = -np.inf
+    re_hi = im_hi = np.inf
     for trial in range(args.trials):
         T = sample_nilpotent(args.dim, seed=args.seed + trial)
         report = check_zero_square(T, tol)
@@ -325,30 +291,23 @@ def _run_nilpotent_search(args, tol, inputs):
             violations.append({"trial": trial, "message": report.violation})
         if report.norm_t > tol.structural:
             nonzero += 1
-            margins["re_min"].append(report.re_margins[0])
-            margins["re_max"].append(report.re_margins[1])
-            margins["im_min"].append(report.im_margins[0])
-            margins["im_max"].append(report.im_margins[1])
-    summary = {
+            re_lo, re_hi = max(re_lo, report.re_margins[0]), min(re_hi, report.re_margins[1])
+            im_lo, im_hi = max(im_lo, report.im_margins[0]), min(im_hi, report.im_margins[1])
+    return EXIT_VIOLATION if violations else EXIT_OK, {
         "trials": args.trials,
         "dim": args.dim,
         "seed": args.seed,
         "nonzero_samples": nonzero,
         "violations": violations,
-        # Worst case over the campaign: how close any nonzero sample came to
-        # having a sign-definite Cartesian part.
-        "least_positive_re_margin": min(margins["re_max"]) if margins["re_max"] else None,
-        "least_negative_re_margin": max(margins["re_min"]) if margins["re_min"] else None,
-        "least_positive_im_margin": min(margins["im_max"]) if margins["im_max"] else None,
-        "least_negative_im_margin": max(margins["im_min"]) if margins["im_min"] else None,
+        "least_positive_re_margin": re_hi if nonzero else None,
+        "least_negative_re_margin": re_lo if nonzero else None,
+        "least_positive_im_margin": im_hi if nonzero else None,
+        "least_negative_im_margin": im_lo if nonzero else None,
     }
-    code = EXIT_VIOLATION if violations else EXIT_OK
-    return code, summary
 
 
 def _run_exp_periodicity(args, tol, inputs):
-    A = load_matrix(args.matrix)
-    inputs[args.matrix] = _digest(args.matrix)
+    A = _load(args.matrix, inputs)
     residual = exp_periodicity_residual(A, args.k, tol)
     bound = 1e-11 * A.shape[0]
     return EXIT_OK, {
@@ -388,31 +347,31 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, results = _HANDLERS[args.command](args, tol, inputs)
-    except (LinalgError, ConvergenceError, MatrixFormatError, FileNotFoundError) as exc:
+        elapsed = time.perf_counter() - start
+        report = {
+            "schema": SCHEMA_VERSION,
+            "command": args.command,
+            "argv": argv,
+            "inputs": inputs,
+            "tolerances": {
+                "structural": tol.structural,
+                "residual": tol.residual,
+                "sweep": tol.sweep,
+            },
+            "results": _jsonable(results),
+            "exit_code": code,
+            "wall_time_s": elapsed,
+        }
+        if args.json:
+            with open(args.json, "w", encoding="ascii") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        else:
+            json.dump(report, sys.stdout, indent=2, sort_keys=True)
+            print()
+    except (LinalgError, ConvergenceError, MatrixFormatError, OSError) as exc:
         print(f"normalroots: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    elapsed = time.perf_counter() - start
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "argv": argv,
-        "inputs": inputs,
-        "tolerances": {
-            "structural": tol.structural,
-            "residual": tol.residual,
-            "sweep": tol.sweep,
-        },
-        "results": _jsonable(results),
-        "exit_code": code,
-        "wall_time_s": elapsed,
-    }
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
     if code == EXIT_VIOLATION:
         print("normalroots: THEOREM VIOLATION reported", file=sys.stderr)
     return code

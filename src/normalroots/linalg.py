@@ -21,7 +21,7 @@ The two eigensolvers apply the same input checks and stopping rule:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,14 +136,7 @@ class MatrixFlags:
     zero: bool
 
     def to_dict(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "normal": self.normal,
-            "psd": self.psd,
-            "nsd": self.nsd,
-            "unitary": self.unitary,
-            "zero": self.zero,
-        }
+        return asdict(self)
 
 
 def fro(M: np.ndarray):

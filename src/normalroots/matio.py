@@ -84,8 +84,15 @@ def format_matrix(M) -> str:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read(), name=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(
+            f"{path}: non-ASCII byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from exc
+    return parse_matrix(text, name=str(path))
 
 
 def save_matrix(path, M) -> None:

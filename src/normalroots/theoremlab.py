@@ -373,57 +373,38 @@ def classify_root_of_selfadjoint(
         lam_min = float(hermitian_eigen(0.5 * (G + G.conj().T), tol).eigenvalues[0])
         return float(np.sqrt(max(lam_min, 0.0))) > inv_band
 
-    if _negation_disjoint(A, tol):
-        ok = fro(B) <= small and invertible()
-        return ClassificationVerdict(
-            case="selfadjoint_invertible",
-            evidence="spectra_disjoint_re",
-            residual=fro(B),
-            system_residuals=sys_res,
-            violation=None if ok else (
-                "THEOREM VIOLATION: spectra of Re T and -Re T disjoint but "
-                f"T is not a self-adjoint invertible root (||Im T|| = {fro(B):.3e})"
-            ),
-        )
-    if _negation_disjoint(B, tol):
-        ok = fro(A) <= small and invertible()
-        return ClassificationVerdict(
-            case="skew_invertible",
-            evidence="spectra_disjoint_im",
-            residual=fro(A),
-            system_residuals=sys_res,
-            violation=None if ok else (
-                "THEOREM VIOLATION: spectra of Im T and -Im T disjoint but "
-                f"T is not a skew invertible root (||Re T|| = {fro(A):.3e})"
-            ),
-        )
-    rc_a = numerical_range_contains_zero(A, tol)
-    if not rc_a.contains_zero and not rc_a.indeterminate:
-        ok = fro(B) <= small
-        return ClassificationVerdict(
-            case="selfadjoint_invertible",
-            evidence="numerical_range_re",
-            residual=fro(B),
-            system_residuals=sys_res,
-            violation=None if ok else (
-                "THEOREM VIOLATION: 0 not in W(Re T) but "
-                f"||Im T|| = {fro(B):.3e} is not negligible"
-            ),
-        )
-    rc_b = numerical_range_contains_zero(B, tol)
-    if not rc_b.contains_zero and not rc_b.indeterminate:
+    def excludes_zero(H: np.ndarray) -> bool:
+        rc = numerical_range_contains_zero(H, tol)
+        return not rc.contains_zero and not rc.indeterminate
+
+    # Each hypothesis: evidence, case, test, the Cartesian part the
+    # conclusion forces to vanish, whether it also forces invertibility, and
+    # the violation message.  Tested lazily in this order; the first that
+    # holds decides.
+    hypotheses = (
+        ("spectra_disjoint_re", "selfadjoint_invertible", lambda: _negation_disjoint(A, tol),
+         B, True, "spectra of Re T and -Re T disjoint but T is not a self-adjoint "
+         "invertible root (||Im T|| = {:.3e})"),
+        ("spectra_disjoint_im", "skew_invertible", lambda: _negation_disjoint(B, tol),
+         A, True, "spectra of Im T and -Im T disjoint but T is not a skew invertible "
+         "root (||Re T|| = {:.3e})"),
+        ("numerical_range_re", "selfadjoint_invertible", lambda: excludes_zero(A),
+         B, False, "0 not in W(Re T) but ||Im T|| = {:.3e} is not negligible"),
         # Conclusion here is T = i Im T; reported as the skew case.
-        ok = fro(A) <= small
-        return ClassificationVerdict(
-            case="skew_invertible",
-            evidence="numerical_range_im",
-            residual=fro(A),
-            system_residuals=sys_res,
-            violation=None if ok else (
-                "THEOREM VIOLATION: 0 not in W(Im T) but "
-                f"||Re T|| = {fro(A):.3e} is not negligible"
-            ),
-        )
+        ("numerical_range_im", "skew_invertible", lambda: excludes_zero(B),
+         A, False, "0 not in W(Im T) but ||Re T|| = {:.3e} is not negligible"),
+    )
+    for evidence, case, holds, vanishing, needs_inverse, message in hypotheses:
+        if holds():
+            residual = fro(vanishing)
+            ok = residual <= small and (not needs_inverse or invertible())
+            return ClassificationVerdict(
+                case=case,
+                evidence=evidence,
+                residual=residual,
+                system_residuals=sys_res,
+                violation=None if ok else "THEOREM VIOLATION: " + message.format(residual),
+            )
     return ClassificationVerdict(
         case="inconclusive",
         evidence="none",

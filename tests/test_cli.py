@@ -258,3 +258,92 @@ def test_cli_range_large_scale(tmp_path):
     results = _read_report(rpt)["results"]
     assert results["contains_zero"] is False and results["indeterminate"] is False
     assert results["witness_angle"] == 0.0
+
+
+def test_cli_non_ascii_matrix_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"1\n1 0\xe9\n")
+    with pytest.raises(MatrixFormatError, match=r"bad\.mat: non-ASCII byte 0xe9 at offset 5"):
+        load_matrix(bad)
+    assert main(["sqrt", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"normalroots: {bad}: non-ASCII byte 0xe9 at offset 5\n"
+
+
+def test_cli_directory_as_matrix_exits_1(tmp_path, capsys):
+    assert main(["sqrt", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("normalroots: ") and str(tmp_path) in captured.err
+
+
+def test_cli_unwritable_json_report_exits_1(tmp_path, capsys):
+    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    rpt = tmp_path / "nodir" / "r.json"
+    assert main(["sqrt", n_path, "--json", str(rpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("normalroots: ") and str(rpt) in captured.err
+
+
+def test_cli_branch_and_all_branches_exit_64(tmp_path):
+    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    for k in ("0", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["root", n_path, "--n", "3", "--k", k, "--all-branches"])
+        assert exc.value.code == 64
+
+
+_CERTIFICATE_KEYS = {"order", "branch", "power_residual", "normality_defect"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["decompose", "@T"], {"dim", "flags", "re_norm", "im_norm"}),
+        (["sqrt", "@N"], _CERTIFICATE_KEYS | {"sign_case"}),
+        (["spectral-sqrt", "@N"], _CERTIFICATE_KEYS),
+        (["root", "@N", "--n", "3", "--all-branches"], {"certificates"}),
+        (["sylvester", "--a", "@a", "--b", "@b", "--s", "@s"], {"residual", "solution_norm"}),
+        (["classify", "@D"], {"case", "evidence", "residual", "system_residuals", "violation"}),
+        (["zero-square", "@J"], {
+            "norm_t", "square_norm", "hypotheses", "conclusion_zero", "re_margins",
+            "im_margins", "re_indefinite", "im_indefinite", "violation",
+        }),
+        (["range", "@T"], {
+            "contains_zero", "margin", "witness_angle", "witness_vector", "witness_value",
+            "indeterminate",
+        }),
+        (["commutators", "@T"], {"residual_bc_ad", "residual_ac_bd", "bound", "within_bound"}),
+        (["volterra", "--n", "4"], {
+            "n", "norm", "spectral_radius", "re_lambda_min", "two_over_pi",
+        }),
+        (["nilpotent-search", "--trials", "3", "--dim", "2"], {
+            "trials", "dim", "seed", "nonzero_samples", "violations",
+            "least_positive_re_margin", "least_negative_re_margin",
+            "least_positive_im_margin", "least_negative_im_margin",
+        }),
+        (["exp-periodicity", "@D", "--k", "2"], {"k", "residual", "bound", "within_bound"}),
+    ],
+)
+def test_cli_results_schema(tmp_path, argv, keys):
+    fixtures = {
+        "@T": np.array([[1.0, 2.0], [0.5j, -1.0]]),
+        "@N": np.diag([4.0, 1j]),
+        "@a": np.diag([1.0, 2.0]).astype(complex),
+        "@b": np.diag([3.0, 4.0]).astype(complex),
+        "@s": np.ones((2, 2), dtype=complex),
+        "@D": np.diag([1.0, 2.0]).astype(complex),
+        "@J": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    }
+    argv = [_write(tmp_path, a[1:] + ".mat", fixtures[a]) if a in fixtures else a for a in argv]
+    rpt = tmp_path / "r.json"
+    assert main(argv + ["--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert set(results) == keys
+    if argv[0] == "decompose":
+        assert set(results["flags"]) == {"hermitian", "normal", "psd", "nsd", "unitary", "zero"}
+    if argv[0] == "root":
+        assert [set(c) for c in results["certificates"]] == [_CERTIFICATE_KEYS] * 3
