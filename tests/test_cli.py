@@ -165,6 +165,15 @@ def test_cli_classify_and_zero_square(tmp_path):
     assert results["re_indefinite"] and results["im_indefinite"]
 
 
+def test_cli_classify_shape_mismatch_exits_1(tmp_path, capsys):
+    t_path = _write(tmp_path, "T.mat", np.eye(3, dtype=complex))
+    c_path = _write(tmp_path, "C.mat", np.eye(2, dtype=complex))
+    assert main(["classify", t_path, "--target", c_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "normalroots: T and C must share one square dimension\n"
+
+
 def test_cli_range_and_commutators(tmp_path):
     m_path = _write(tmp_path, "M.mat", np.diag([1.0, 2.0]).astype(complex))
     rpt = tmp_path / "r.json"
