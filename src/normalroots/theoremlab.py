@@ -15,7 +15,7 @@ point of the lab is falsification with evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,84 +172,71 @@ class RangeCertificate:
     indeterminate: bool = False
 
 
-# Refinement of the best grid angle: each step is one stacked eigensolve over
-# _ZOOM_ANGLES equally spaced angles of the bracket, and the best of them with
-# its two neighbours brackets the next step (a 15.5-fold shrink per step).
+# The angle search stops undecided after _SEARCH_ROUNDS rounds or before
+# passing _SEARCH_MAX_ANGLES angles; a zoom step shrinks its bracket 15.5-fold.
+_SEARCH_ANGLES = 64
+_SEARCH_ROUNDS = 24
+_SEARCH_MAX_ANGLES = 4096
 _ZOOM_ANGLES = 32
-_ZOOM_STEPS = 5
-# Rows of the chord search's pair table computed at a time.
-_CHORD_BLOCK = 64
+_ZOOM_STEPS = 6
+_FAN_STEPS = 8
 
 
-def _rotated_min(M: np.ndarray, thetas: np.ndarray, tol: Tolerances):
-    """lambda_min of Re(e^{i theta} M) for each angle, and the full
-    eigenvector matrices, from one stacked eigensolve."""
-    R = np.exp(1j * thetas)[:, None, None] * M
-    eig = hermitian_eigen_batch(0.5 * (R + R.conj().transpose(0, 2, 1)), tol)
-    return eig.eigenvalues[:, 0], eig.vectors
+def _rotated_min(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, tol: Tolerances):
+    """One stacked eigensolve of Re(e^{i theta} M) = cos(theta) A - sin(theta) B.
+    Returns the Rayleigh quotients f of the lowest eigenvectors (upper bounds
+    on lambda_min), those eigenvectors (rows) and the eigenvector matrices."""
+    H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
+    V = hermitian_eigen_batch(H, tol).vectors
+    x = V[:, :, 0]
+    f = np.einsum("ki,kij,kj->k", x.conj(), H, x).real / np.einsum("ki,ki->k", x.conj(), x).real
+    return f, x, V
 
 
-def _zoom(M: np.ndarray, V: np.ndarray, theta: float, margin: float, width: float,
-          tol: Tolerances) -> tuple[float, float]:
-    """Best angle and margin of lambda_min(Re(e^{i theta} M)) on
-    [theta - width, theta + width], starting from the known margin at theta.
+def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
+    """Certified search for an angle with lambda_min(Re(e^{i theta} M)) > band,
+    then a zoom on the best one.  Returns the samples in angle order (angles,
+    lowest eigenvectors), whether the search decided, the best angle and margin.
 
-    Each step solves V* Re(e^{i theta} M) V = cos(theta) V*AV - sin(theta)
-    V*BV (A, B the Cartesian parts of M), which has the same eigenvalues.
-    V starts as the eigenbasis at theta and moves to that of each step's
-    best angle, so the stacked matrices are nearly diagonal and the Jacobi
-    sweeps converge quickly.  Where 0 is outside
-    W(M) the margin is unimodal on the bracket, since each superlevel set
-    {theta: margin > c > 0} is an arc, so the maximum stays inside the
-    shrinking bracket.
+    lambda_min is Lipschitz in theta with constant ||M||_2 <= L = ||M||_F
+    (Weyl), so between samples at distance w it stays below
+    (f_a + f_b)/2 + L w/2 (Piyavskii 1972; Shubert 1972).  Each round solves
+    the midpoints of the intervals whose bound exceeds the band, until a
+    sample exceeds it or no bound does (decided).  The zoom works in the
+    eigenbasis V of the best angle so far, where the stacked matrices are
+    nearly diagonal.  Where 0 is outside W(M) the margin is unimodal, so its
+    maximum stays inside the best sample's neighbours and every bracket.
     """
-    A = 0.5 * (M + M.conj().T)
-    B = (M - M.conj().T) / 2j
-    lo, hi = theta - width, theta + width
-    best_theta, best_margin = theta, margin
+    L = fro(A + 1j * B)
+    thetas = np.linspace(0.0, 2.0 * np.pi, _SEARCH_ANGLES, endpoint=False)
+    f, X, V = _rotated_min(A, B, thetas, tol)
+    V = V[int(np.argmax(f))]
+    for rounds in range(_SEARCH_ROUNDS + 1):
+        width = np.diff(thetas, append=2.0 * np.pi)
+        open_ = np.flatnonzero(0.5 * (f + np.roll(f, -1) + L * width) > band)
+        decided = f.max() > band or open_.size == 0
+        if decided or rounds == _SEARCH_ROUNDS or len(thetas) + open_.size > _SEARCH_MAX_ANGLES:
+            break
+        mids = thetas[open_] + 0.5 * width[open_]
+        fm, Xm, Vm = _rotated_min(A, B, mids, tol)
+        if fm.max() > f.max():
+            V = Vm[int(np.argmax(fm))]
+        thetas, f = np.insert(thetas, open_ + 1, mids), np.insert(f, open_ + 1, fm)
+        X = np.insert(X, open_ + 1, Xm, axis=0)
+
+    j = int(np.argmax(f))
+    ring = np.concatenate([thetas[-1:] - 2.0 * np.pi, thetas, thetas[:1] + 2.0 * np.pi])
+    lo, hi = ring[j], ring[j + 2]
+    best_theta, best_margin = float(thetas[j]), float(f[j])
     for _ in range(_ZOOM_STEPS):
-        Vh = V.conj().T
-        thetas = np.linspace(lo, hi, _ZOOM_ANGLES)
-        H = (np.cos(thetas)[:, None, None] * (Vh @ A @ V)
-             - np.sin(thetas)[:, None, None] * (Vh @ B @ V))
-        eig = hermitian_eigen_batch(H, tol)
-        j = int(np.argmax(eig.eigenvalues[:, 0]))
-        if eig.eigenvalues[j, 0] > best_margin:
-            best_theta, best_margin = float(thetas[j]), float(eig.eigenvalues[j, 0])
-        V = V @ eig.vectors[j]
-        lo, hi = thetas[max(j - 1, 0)], thetas[min(j + 1, _ZOOM_ANGLES - 1)]
-    return best_theta, best_margin
-
-
-def _closest_chord(w: np.ndarray) -> tuple[int, int]:
-    """The pair (a, b) whose chord [w_a, w_b] passes closest to 0, the first
-    in row-major order among equals.
-
-    Evaluates the expressions of the full len(w) x len(w) table one block of
-    rows at a time, into four buffers reused across blocks, so no table is
-    held and no temporary is allocated per block.
-    """
-    n = len(w)
-    d = np.empty((_CHORD_BLOCK, n), dtype=complex)
-    q = np.empty_like(d)
-    r = np.empty(d.shape)
-    t = np.empty(d.shape)
-    best, pair = np.inf, (0, 0)
-    for r0 in range(0, n, _CHORD_BLOCK):
-        wr = w[r0:r0 + _CHORD_BLOCK, None]
-        m = len(wr)
-        db, qb, rb, tb = d[:m], q[:m], r[:m], t[:m]
-        np.subtract(wr, w, out=db)  # d = w_a - w_b
-        np.square(np.abs(db, out=rb), out=rb)  # |d|^2, 1 where it vanishes
-        rb[rb == 0.0] = 1.0
-        np.multiply(wr.conj(), db, out=qb)  # t = clip(Re(conj(w_a) d) / |d|^2)
-        np.clip(np.divide(qb.real, rb, out=tb), 0.0, 1.0, out=tb)
-        np.subtract(wr, np.multiply(tb, db, out=qb), out=qb)  # |w_a - t d|
-        np.abs(qb, out=rb)
-        k = int(np.argmin(rb))
-        if rb.flat[k] < best:
-            best, pair = rb.flat[k], (r0 + k // n, k % n)
-    return pair
+        grid = np.linspace(lo, hi, _ZOOM_ANGLES)
+        g, _, W = _rotated_min(V.conj().T @ A @ V, V.conj().T @ B @ V, grid, tol)
+        i = int(np.argmax(g))
+        if g[i] > best_margin:
+            best_theta, best_margin = float(grid[i]), float(g[i])
+        V = V @ W[i]
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_ANGLES - 1)]
+    return thetas, X, decided, best_theta, best_margin
 
 
 def _quadratic_form(M: np.ndarray, x: np.ndarray) -> complex:
@@ -268,70 +255,102 @@ def _hermitian_zero_witness(eig, tol: Tolerances) -> np.ndarray:
     return np.sqrt(t) * V[:, 0] + np.sqrt(1.0 - t) * V[:, -1]
 
 
-def _pair_zero_witness(M: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Minimize |<My, y>| over unit y in span{x1, x2} by nested grid search.
+def _isotropic(M: np.ndarray, x1: np.ndarray, x2: np.ndarray, z: complex) -> np.ndarray:
+    """Unit y in span{x1, x2} with <My, y> = z, for z on the segment between
+    the form values w1, w2 of the unit vectors x1, x2 (Carden 2009).
 
-    The compression of M to the span has a convex numerical range containing
-    the form values at x1 and x2, so when the segment between them passes
-    through 0 a zero of the form exists in the span.
+    With N = e^{-i arg(w2 - w1)} (M - z I), <N x1, x1> = r1 <= 0 and
+    <N x2, x2> = r2 >= 0 are real; a phase p makes <Ny, y> for
+    y = x1 + t p x2 the real quadratic r2 t^2 + c t + r1.
     """
-    u = x1 / np.linalg.norm(x1)
-    v = x2 - (u.conj() @ x2) * u
-    nv = np.linalg.norm(v)
-    if nv < 1e-12:
-        return u
-    v = v / nv
-    muu = _quadratic_form(M, u)
-    mvv = _quadratic_form(M, v)
-    muv = complex(u.conj() @ (M @ v))
-    mvu = complex(v.conj() @ (M @ u))
-
-    a_lo, a_hi = 0.0, 0.5 * np.pi
-    p_lo, p_hi = 0.0, 2.0 * np.pi
-    best = (0.0, 0.0)
-    for _ in range(12):
-        alphas = np.linspace(a_lo, a_hi, 64)
-        phis = np.linspace(p_lo, p_hi, 64)
-        A, P = np.meshgrid(alphas, phis, indexing="ij")
-        c, s = np.cos(A), np.sin(A)
-        q = c * c * muu + s * s * mvv + c * s * (np.exp(1j * P) * muv + np.exp(-1j * P) * mvu)
-        idx = np.unravel_index(np.argmin(np.abs(q)), q.shape)
-        best = (float(A[idx]), float(P[idx]))
-        da = (a_hi - a_lo) / 16.0
-        dp = (p_hi - p_lo) / 16.0
-        a_lo, a_hi = best[0] - da, best[0] + da
-        p_lo, p_hi = best[1] - dp, best[1] + dp
-    alpha, phi = best
-    y = np.cos(alpha) * u + np.sin(alpha) * np.exp(1j * phi) * v
+    w1, w2 = _quadratic_form(M, x1), _quadratic_form(M, x2)
+    N = np.exp(-1j * np.angle(w2 - w1)) * (M - z * np.eye(len(x1)))
+    # The signs follow from z in [w1, w2]; rounding may only flip a zero.
+    r1, r2 = min(_quadratic_form(N, x1).real, 0.0), max(_quadratic_form(N, x2).real, 0.0)
+    a, b = complex(x1.conj() @ (N @ x2)), complex(x2.conj() @ (N @ x1))
+    p = np.exp(-1j * np.angle(a - np.conj(b)))
+    c = (p * a + np.conj(p) * b).real
+    q = -0.5 * (c + np.copysign(np.sqrt(c * c - 4.0 * r1 * r2), c))
+    if q == 0.0:
+        return x1 if r1 == 0.0 else x2
+    y = x1 + (r1 / q) * p * x2  # the smaller root, free of cancellation
     return y / np.linalg.norm(y)
 
 
-def numerical_range_contains_zero(
-    M,
-    tol: Tolerances = DEFAULT_TOL,
-    grid: int = 720,
-) -> RangeCertificate:
+def _closest_edge(w: np.ndarray) -> tuple[int, complex]:
+    """Index j and point of the edge [w_j, w_{j+1}] (cyclic) closest to 0; for
+    points in convex position and 0 outside their hull, no chord is closer."""
+    d = np.roll(w, -1) - w
+    den = np.abs(d) ** 2
+    t = np.clip(-(w.conj() * d).real / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+    j = int(np.argmin(np.abs(w + t * d)))
+    return j, complex(w[j] + t[j] * d[j])
+
+
+def _support_zero_witness(M, A, B, thetas, X, tol: Tolerances) -> np.ndarray:
+    """Unit x with <Mx, x> ~ 0 from the support points w_j = <M x_j, x_j>,
+    which lie on the boundary of W(M) in angle order.
+
+    In the fan triangle (w_0, w_b, w_{b+1}) holding 0 deepest, two solves
+    give the witness: z on [w_b, w_{b+1}] in line with w_0 and 0, then 0 on
+    [w_0, z].  While no triangle holds 0, each step adds the support point
+    in the direction of 0 from the polygon (Carden 2009); after _FAN_STEPS
+    the witness is the polygon's point closest to 0.
+    """
+    w = np.einsum("ki,ij,kj->k", X.conj(), M, X)
+    for step in range(_FAN_STEPS + 1):
+        # Twice the signed areas of (0, w_b, w_{b+1}), (0, w_{b+1}, w_0) and
+        # (0, w_0, w_b); their sum is that of the triangle.
+        w0, wb, wc = w[0], w[1:-1], w[2:]
+        parts = np.stack([np.conj(wb) * wc, np.conj(wc) * w0, np.conj(w0) * wb]).imag
+        area = parts.sum(axis=0)
+        weights = np.divide(parts, area, out=np.full_like(parts, -np.inf), where=area != 0.0)
+        depth = weights.min(axis=0)
+        b = int(np.argmax(depth))
+        if depth[b] >= 0.0:
+            _, beta, gamma = weights[:, b]
+            if beta + gamma == 0.0:
+                return X[0]
+            z = (beta * wb[b] + gamma * wc[b]) / (beta + gamma)
+            return _isotropic(M, X[0], _isotropic(M, X[b + 1], X[b + 2], z), 0.0)
+        j, p = _closest_edge(w)
+        if step == _FAN_STEPS or p == 0.0:
+            break
+        # The support point farthest along -p, at theta = -arg(p).
+        theta = -np.angle(p) % (2.0 * np.pi)
+        _, x, _ = _rotated_min(A, B, np.array([theta]), tol)
+        k = int(np.searchsorted(thetas, theta))
+        thetas, X = np.insert(thetas, k, theta), np.insert(X, k, x[0], axis=0)
+        w = np.insert(w, k, _quadratic_form(M, x[0]))
+    return _isotropic(M, X[j], X[(j + 1) % len(w)], p)
+
+
+def numerical_range_contains_zero(M, tol: Tolerances = DEFAULT_TOL) -> RangeCertificate:
     """Decide 0 in W(M) using convexity of the numerical range.
 
-    0 is outside W(M) iff some rotation angle theta gives
-    lambda_min(Re(e^{i theta} M)) > 0 (Johnson 1978).  The angle is found by
-    six stacked eigensolves (hermitian_eigen_batch): one over the grid
-    angles, then five zoom steps, each over 32 equally spaced angles of a
-    bracket that starts two grid steps wide around the best grid angle and
-    keeps the best angle with its two neighbours, ending about 2e-8 rad wide.
-    The zoom is warm-started: it solves the rotated parts in the eigenbasis
-    of the best grid angle (then of each step's best angle), which leaves
-    the eigenvalues unchanged and the matrices nearly diagonal.  Hermitian
-    input short-circuits to the interval test on the spectrum.  Best margins
-    within the indeterminate band of zero are flagged rather than trusted.
+    0 is outside W(M) iff some angle theta gives lambda_min(Re(e^{i theta} M))
+    > 0 (Johnson 1978).  The test runs on M / 2^e, 2^e the power of two just
+    above M's largest entry, and scales margin and witness_value back, so
+    every 2^k M gets the same verdicts, angles and vectors.  Hermitian input
+    short-circuits to the interval test on the spectrum.  Margins within the
+    band of zero are flagged indeterminate rather than trusted.
 
-    When 0 is contained, the vector witness comes from the two grid
-    eigenvectors whose form values span the chord passing closest to 0; that
-    search over all grid pairs runs in row blocks, so it builds no
-    grid x grid arrays.
+    Otherwise ``_best_angle`` (64 angles, bisection where the Lipschitz bound
+    on lambda_min exceeds the band, six zoom steps of 32 angles down to a
+    1.4e-8 rad bracket) finds an angle above the band or proves there is
+    none.  The contains-zero witness comes in closed form from the sampled
+    support points.  A search stopped by its caps is indeterminate unless
+    that witness puts 0 within the band of W(M).
     """
     M = as_matrix(M, "M")
-    n = M.shape[0]
+    e = int(np.frexp(np.maximum(np.abs(M.real), np.abs(M.imag)).max())[1])
+    rc = _range_test(np.ldexp(M.real, -e) + 1j * np.ldexp(M.imag, -e), tol)
+    value = rc.witness_value
+    return replace(rc, margin=float(np.ldexp(rc.margin, e)),
+                   witness_value=None if value is None else float(np.ldexp(value, e)))
+
+
+def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
     band = tol.structural * (1.0 + fro(M))
 
     if is_hermitian(M, tol):
@@ -348,7 +367,7 @@ def numerical_range_contains_zero(
             indeterminate=abs(margin) <= band,
         )
 
-    if n == 1:
+    if M.shape[0] == 1:
         val = abs(complex(M[0, 0]))
         if val > band:
             theta = -np.angle(complex(M[0, 0]))
@@ -357,29 +376,17 @@ def numerical_range_contains_zero(
             True, -val, witness_vector=np.ones(1, dtype=complex), witness_value=val
         )
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    margins, vectors = _rotated_min(M, thetas, tol)
-    j = int(np.argmax(margins))
-    best_theta, best_margin = _zoom(
-        M, vectors[j], float(thetas[j]), float(margins[j]), 2.0 * np.pi / grid, tol
-    )
-
+    A = 0.5 * (M + M.conj().T)
+    B = (M - M.conj().T) / 2j
+    thetas, X, decided, best_theta, best_margin = _best_angle(A, B, band, tol)
     if best_margin > band:
         return RangeCertificate(False, best_margin, witness_angle=best_theta % (2 * np.pi))
 
-    # 0 lies in (or on the boundary of) W(M): produce a vector witness from
-    # the pair of boundary points whose chord passes closest to 0.
-    vectors = vectors[:, :, 0]
-    w = np.einsum("ji,ik,jk->j", vectors.conj(), M, vectors)
-    a, b = _closest_chord(w)
-    x = _pair_zero_witness(M, vectors[a], vectors[b])
+    x = _support_zero_witness(M, A, B, thetas, X, tol)
     val = abs(_quadratic_form(M, x))
     return RangeCertificate(
-        best_margin <= 0.0,
-        best_margin,
-        witness_vector=x,
-        witness_value=val,
-        indeterminate=abs(best_margin) <= band,
+        best_margin <= 0.0, best_margin, witness_vector=x, witness_value=val,
+        indeterminate=abs(best_margin) <= band or (not decided and val > band),
     )
 
 
@@ -411,8 +418,10 @@ def classify_root_of_selfadjoint(
     """Classify a square root T of a Hermitian matrix C.
 
     Checks, in order: disjointness of the spectra of Re T and -Re T (forces
-    T self-adjoint and invertible), the dual on Im T (forces T skew), then
-    the numerical-range hypotheses 0 not in W(Re T) / W(Im T).
+    T self-adjoint and invertible), then the dual on Im T (forces T skew).
+    The range hypotheses 0 not in W(Re T) / W(Im T) are implied: for a
+    Hermitian part H, a margin lambda_min > structural * (1 + ||H||_F) gives
+    spec(H) and spec(-H) a gap 2 lambda_min that passes the disjointness test.
     """
     T = as_matrix(T, "T")
     C = as_matrix(C, "C")
@@ -437,31 +446,21 @@ def classify_root_of_selfadjoint(
         lam_min = float(hermitian_eigen(0.5 * (G + G.conj().T), tol).eigenvalues[0])
         return float(np.sqrt(max(lam_min, 0.0))) > inv_band
 
-    def excludes_zero(H: np.ndarray) -> bool:
-        rc = numerical_range_contains_zero(H, tol)
-        return not rc.contains_zero and not rc.indeterminate
-
-    # Each hypothesis: evidence, case, test, the Cartesian part the
-    # conclusion forces to vanish, whether it also forces invertibility, and
-    # the violation message.  Tested lazily in this order; the first that
-    # holds decides.
+    # Each hypothesis: evidence, case, the part whose spectrum is tested, the
+    # part the conclusion forces to vanish, and the violation message.
+    # Tested in this order; the first that holds decides.
     hypotheses = (
-        ("spectra_disjoint_re", "selfadjoint_invertible", lambda: _negation_disjoint(A, tol),
-         B, True, "spectra of Re T and -Re T disjoint but T is not a self-adjoint "
+        ("spectra_disjoint_re", "selfadjoint_invertible", A, B,
+         "spectra of Re T and -Re T disjoint but T is not a self-adjoint "
          "invertible root (||Im T|| = {:.3e})"),
-        ("spectra_disjoint_im", "skew_invertible", lambda: _negation_disjoint(B, tol),
-         A, True, "spectra of Im T and -Im T disjoint but T is not a skew invertible "
+        ("spectra_disjoint_im", "skew_invertible", B, A,
+         "spectra of Im T and -Im T disjoint but T is not a skew invertible "
          "root (||Re T|| = {:.3e})"),
-        ("numerical_range_re", "selfadjoint_invertible", lambda: excludes_zero(A),
-         B, False, "0 not in W(Re T) but ||Im T|| = {:.3e} is not negligible"),
-        # Conclusion here is T = i Im T; reported as the skew case.
-        ("numerical_range_im", "skew_invertible", lambda: excludes_zero(B),
-         A, False, "0 not in W(Im T) but ||Re T|| = {:.3e} is not negligible"),
     )
-    for evidence, case, holds, vanishing, needs_inverse, message in hypotheses:
-        if holds():
+    for evidence, case, tested, vanishing, message in hypotheses:
+        if _negation_disjoint(tested, tol):
             residual = fro(vanishing)
-            ok = residual <= small and (not needs_inverse or invertible())
+            ok = residual <= small and invertible()
             return ClassificationVerdict(
                 case=case,
                 evidence=evidence,

@@ -181,14 +181,34 @@ def test_classify_inconclusive_symmetric_spectrum():
     assert v.evidence == "none"
 
 
-def test_classify_numerical_range_path():
-    # Re T definite but with spectrum symmetric under negation impossible;
-    # build instead a T whose Re spectrum is one-signed but nearly paired,
-    # firing the 0-not-in-W(A) hypothesis after the gap test is inconclusive.
+def test_classify_near_paired_spectrum_takes_gap_path():
+    # Re T = diag(1, 1 + 1e-12) is one-signed, so spec(Re T) and spec(-Re T)
+    # are 2 apart: the gap test decides, however close the eigenvalues sit.
     T = np.diag([1.0, 1.0 + 1e-12])
     v = classify_root_of_selfadjoint(T, T @ T)
     assert v.case == "selfadjoint_invertible"
+    assert v.evidence == "spectra_disjoint_re"
     assert v.violation is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.floats(-1.0, 10.0), st.booleans(),
+       st.booleans())
+def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative, skew):
+    # A definite part whose margin clears the range test's band,
+    # lambda_min > structural * (1 + ||A||_F), also clears the gap test's
+    # threshold structural * (1 + 2 ||A||_F), since the gap is 2 lambda_min;
+    # so range evidence on a Cartesian part could never decide.
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 3.0, n)
+    band = 1e-10 * (1.0 + np.sqrt(np.sum(lam[1:] ** 2)))
+    lam[0] = band * (1.0 + 10.0 ** log_excess)
+    A = _with_spectrum(rng, -lam if negative else lam)
+    assert np.abs(np.linalg.eigvalsh(A)).min() > 1e-10 * (1.0 + np.linalg.norm(A))
+    T = 1j * A if skew else A
+    v = classify_root_of_selfadjoint(T, T @ T)
+    assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
+    assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
 @pytest.mark.parametrize("skew, solves", [(False, 2), (True, 3)])
@@ -207,6 +227,19 @@ def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
     assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
     assert v.violation is None
     assert calls == {"serial": solves, "batch": 0}
+
+
+def test_classify_inconclusive_eigensolve_count(monkeypatch):
+    # One eigensolve per Cartesian part; no range test follows the gap tests.
+    calls = {"serial": 0, "batch": 0}
+    serial = _counted(calls, "serial", linalg.hermitian_eigen)
+    monkeypatch.setattr(linalg, "hermitian_eigen", serial)
+    monkeypatch.setattr(theoremlab, "hermitian_eigen", serial)
+    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
+                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    v = classify_root_of_selfadjoint(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    assert v.case == "inconclusive"
+    assert calls == {"serial": 2, "batch": 0}
 
 
 def test_classify_precondition():
@@ -308,7 +341,8 @@ def test_range_seeded_campaign():
 
 
 def test_range_eigensolve_count(monkeypatch, rng):
-    # One call over the grid and one per zoom step.
+    # One call over the 64 starting angles, which decide this input, and one
+    # per zoom step; the witness's fan needs no extra support point.
     calls = {"batch": 0, "serial": 0}
 
     def counted(name, fn):
@@ -322,7 +356,7 @@ def test_range_eigensolve_count(monkeypatch, rng):
     monkeypatch.setattr(theoremlab, "hermitian_eigen",
                         counted("serial", theoremlab.hermitian_eigen))
     numerical_range_contains_zero(random_dense(rng, 4))
-    assert calls == {"batch": 6, "serial": 0}
+    assert calls == {"batch": 7, "serial": 0}
 
 
 def _range_campaign_inputs(seed, count):
@@ -350,28 +384,57 @@ def _full_table_chord(w):
     return int(a), int(b)
 
 
-def test_range_chord_search_matches_full_table(monkeypatch):
-    chosen = []
-    blocked = theoremlab._closest_chord
-
-    def recorded(w):
-        pair = blocked(w)
-        chosen.append((pair, _full_table_chord(w)))
-        return pair
-
-    monkeypatch.setattr(theoremlab, "_closest_chord", recorded)
-    for j, M in _range_campaign_inputs(1802, 80):
-        if j % 2 == 0:
-            assert numerical_range_contains_zero(M).contains_zero
-    assert len(chosen) == 40
-    for got, want in chosen:
-        assert got == want
+def _chord_distance(w, a, b):
+    d = w[a] - w[b]
+    t = np.clip((np.conj(w[a]) * d).real / max(abs(d) ** 2, 1e-300), 0.0, 1.0)
+    return abs(w[a] - t * d)
 
 
-def test_range_chord_search_ties_keep_first_in_row_major_order():
-    # Every chord through 0: each pair ties at distance 0, so (0, 1) is first.
-    w = np.tile([1.0 + 0j, -1.0 + 0j], 360)
-    assert theoremlab._closest_chord(w) == _full_table_chord(w) == (0, 1)
+def _support_points(M):
+    # The sampled support points of W(M), in angle order, as the range test
+    # sees them.
+    A, B = cartesian_parts(M).re, cartesian_parts(M).im
+    band = 1e-10 * (1.0 + fro(M))
+    _, X, _, _, _ = theoremlab._best_angle(A, B, band, linalg.DEFAULT_TOL)
+    return np.einsum("ki,ij,kj->k", X.conj(), M, X)
+
+
+def test_range_edge_scan_matches_full_table_distance():
+    # The support points are in convex position, so for any point p outside
+    # their polygon the closest consecutive edge is as close to p as any
+    # chord.  p runs over points just outside every seventh vertex and edge
+    # midpoint (the polygon holds 0, so scaling a boundary point by s > 1
+    # leaves it).
+    for seed in (1801, 1802):
+        for j, M in _range_campaign_inputs(seed, 40):
+            if j % 2:
+                continue
+            w = _support_points(M)
+            K = len(w)
+            for k in range(0, K, 7):
+                for p in (1.1 * w[k], 1.001 * w[k], 1.05 * 0.5 * (w[k] + w[(k + 1) % K])):
+                    i, q = theoremlab._closest_edge(w - p)
+                    tol = 1e-13 * np.abs(w).max()
+                    want = _chord_distance(w - p, *_full_table_chord(w - p))
+                    assert abs(abs(q) - want) <= tol
+                    assert abs(abs(q) - _chord_distance(w - p, i, (i + 1) % K)) <= tol
+
+
+def test_range_witness_adds_support_points_toward_zero():
+    # W(M) is the disc of radius 1/2 about 0.4 e^{0.7i}.  The three support
+    # points sampled at theta = 2pi/3, pi, 4pi/3 (less 0.7) lie on its side
+    # away from 0, so their triangle misses 0 and the witness must add
+    # points toward it.
+    M = np.exp(0.7j) * np.array([[0.4, 1.0], [0.0, 0.4]])
+    A, B = cartesian_parts(M).re, cartesian_parts(M).im
+    thetas = np.pi * np.array([2.0, 3.0, 4.0]) / 3.0 - 0.7
+    _, X, _ = theoremlab._rotated_min(A, B, thetas, linalg.DEFAULT_TOL)
+    w = np.einsum("ki,ij,kj->k", X.conj(), M, X)
+    phis = np.pi * np.array([1.0, 0.0, -1.0]) / 3.0
+    assert np.allclose(w, np.exp(0.7j) * (0.4 + 0.5 * np.exp(1j * phis)))
+    x = theoremlab._support_zero_witness(M, A, B, thetas, X, linalg.DEFAULT_TOL)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    assert abs(x.conj() @ M @ x) <= 1e-15
 
 
 def test_range_contains_zero_op_memory():
@@ -386,7 +449,7 @@ def test_range_contains_zero_op_memory():
     finally:
         tracemalloc.stop()
     assert rc.contains_zero
-    assert peak <= 8 * 2**20
+    assert peak <= 2**20
 
 
 def test_range_margin_reaches_dense_sweep_maximum():
@@ -399,6 +462,89 @@ def test_range_margin_reaches_dense_sweep_maximum():
         R = np.exp(1j * thetas)[:, None, None] * M
         sweep = np.linalg.eigvalsh(0.5 * (R + R.conj().transpose(0, 2, 1)))[:, 0]
         assert rc.margin >= sweep.max() - 1e-12 * np.linalg.norm(M, 2)
+
+
+def test_range_contains_zero_witness_is_near_exact():
+    # The closed-form witness is exact up to rounding.
+    for seed in (1801, 1802):
+        for j, M in _range_campaign_inputs(seed, 80):
+            if j % 2 == 0:
+                rc = numerical_range_contains_zero(M)
+                assert rc.contains_zero and not rc.indeterminate
+                x = rc.witness_vector
+                assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+                assert rc.witness_value <= 1e-14 * np.linalg.norm(M, 2)
+                assert abs(x.conj() @ M @ x) <= 1e-14 * np.linalg.norm(M, 2)
+
+
+def _dense_lambda_min(M, count=20000):
+    thetas = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    R = np.exp(1j * thetas)[:, None, None] * M
+    return thetas, np.linalg.eigvalsh(0.5 * (R + R.conj().transpose(0, 2, 1)))[:, 0]
+
+
+def _band(M):
+    # The range test's band, structural * (1 + ||M / 2^e||_F), in M's units.
+    scale = 2.0 ** np.frexp(np.maximum(np.abs(M.real), np.abs(M.imag)).max())[1]
+    return 1e-10 * (scale + np.linalg.norm(M))
+
+
+def test_range_certified_contains_holds_on_dense_sweep():
+    # Traceless inputs, and inputs moved so that their best margin is
+    # -/+ m ||G||_2: whenever the verdict is a decided "contains", no angle
+    # of a 20 000-angle sweep has lambda_min above the band.
+    inputs = [M for j, M in _range_campaign_inputs(1801, 40) if j % 2 == 0]
+    rng = np.random.default_rng(1803)
+    for d in (2, 3, 4, 5):
+        G = random_dense(rng, d)
+        thetas, lam = _dense_lambda_min(G)
+        k = int(np.argmax(lam))
+        for m in (-1e-2, -1e-4, -1e-6, 1e-4):
+            shift = lam[k] - m * np.linalg.norm(G, 2)
+            inputs.append(G - shift * np.exp(-1j * thetas[k]) * np.eye(d))
+    decided = 0
+    for M in inputs:
+        rc = numerical_range_contains_zero(M)
+        if rc.contains_zero and not rc.indeterminate:
+            decided += 1
+            assert _dense_lambda_min(M)[1].max() <= _band(M)
+    assert decided >= 32
+
+
+def test_range_finds_thin_arc_of_good_angles():
+    # W(M) is the triangle with vertices e^{i a}, e^{i (pi - a)} and i/2,
+    # rotated by -pi/720: 0 is outside it at distance sin(a), but the angles
+    # that separate them form an arc of width 2a = 0.004 rad, centred
+    # between two of 720 equally spaced angles, so none of those sees it.
+    a = 0.002
+    z = np.array([np.exp(1j * a), np.exp(1j * (np.pi - a)), 0.5j]) * np.exp(-1j * np.pi / 720)
+    U = random_unitary(np.random.default_rng(11), 3)
+    M = (U * z) @ U.conj().T
+    assert _dense_lambda_min(M, 720)[1].max() < 0.0
+    rc = numerical_range_contains_zero(M)
+    assert not rc.contains_zero and not rc.indeterminate
+    assert rc.margin == pytest.approx(np.sin(a), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [-700, -100, -40, 40, 600])
+def test_range_scale_equivariance(k):
+    # Scaling by 2^k moves no verdict and scales margin and witness value.
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rng = np.random.default_rng(1804)
+    G = random_dense(rng, 4)
+    inputs = [J, J + np.eye(2), G - np.trace(G) / 4 * np.eye(4),
+              G + 1.5 * np.linalg.norm(G, 2) * np.eye(4), np.diag([1.0, 2.0]),
+              np.diag([-1.0, 1.0]), np.array([[1.0 + 1.0j]])]
+    with np.errstate(all="raise"):
+        for M in inputs:
+            base = numerical_range_contains_zero(M)
+            Mk = np.ldexp(1.0, k) * M
+            rc = numerical_range_contains_zero(Mk)
+            assert (rc.contains_zero, rc.indeterminate) == (base.contains_zero,
+                                                            base.indeterminate)
+            assert rc.margin / 2.0 ** k == pytest.approx(base.margin, rel=1e-12)
+            if rc.contains_zero:
+                assert rc.witness_value <= 1e-14 * np.linalg.norm(Mk, 2)
 
 
 def test_range_large_scale_is_decisive():
