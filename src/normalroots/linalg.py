@@ -9,13 +9,24 @@ exponential/logarithm pair with the principal branch fixed to (-pi, pi].
 
 The two eigensolvers apply the same input checks and stopping rule:
 
-- ``hermitian_eigen`` runs cyclic Jacobi on one matrix.  Every single
-  factorization in the package goes through it.
+- ``hermitian_eigen`` runs cyclic Jacobi on one matrix.  Every construction
+  that factorizes one matrix at a time goes through it.
 - ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
   rotating n/2 disjoint pairs of every member at once.  It serves callers
-  that need many small eigensolves together, such as the angle sweep of the
+  that need many small eigensolves together: the Hermitian Sylvester solve
+  (both coefficients in one call) and the angle search of the
   numerical-range test.  For one small matrix it is slower than the serial
   loop, so single solves stay serial.
+
+Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
+``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
+a spectrum, f(N) = V f(mu) V*, through one helper, ``_spectral_map``, which
+also makes the result Hermitian when f is real.  The two that depend on the
+argument of an eigenvalue, ``unitary_log`` and ``roots.spectral_sqrt``,
+share one branch-cut rule, ``_branch_cut``: an eigenvalue within
+structural * (1 + |mu|) of the real axis is put on it (imaginary part +0),
+so a negative real eigenvalue has arg = +pi whichever side rounding left it
+on.
 """
 
 from __future__ import annotations
@@ -148,10 +159,18 @@ def fro(M: np.ndarray):
     """
     M = np.asarray(M)
     if M.ndim > 2:
-        norm = np.linalg.norm(M, axis=(-2, -1))
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(M, axis=(-2, -1))
         overflow = np.isinf(norm).any()
     else:
-        norm = float(np.linalg.norm(M))
+        # The sum of squares np.linalg.norm takes, by vdot: the same bits,
+        # and no floating-point warning when it overflows.
+        x = M.ravel(order="K")
+        if x.dtype.kind == "c":
+            re, im = x.real, x.imag
+            norm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+        else:
+            norm = math.sqrt(np.vdot(x, x))
         overflow = norm == math.inf
     if overflow and np.isfinite(M).all():
         axes = (-2, -1) if M.ndim > 2 else None
@@ -181,10 +200,24 @@ def hermitian_defect(M: np.ndarray) -> float:
     return fro(M - _adj(M))
 
 
-def normality_defect(M: np.ndarray) -> float:
-    """Scaled commutation defect of M with its adjoint."""
+def _normality(M: np.ndarray) -> tuple[float, float]:
+    """||M*M - MM*||_F, and the same over 1 + ||M||_F^2.
+
+    Both are taken on M / 2^e, 2^e the power of two just above ||M||_F
+    (e >= 0), and scaled back exactly, so no square overflows on finite M.
+    """
     M = np.asarray(M, dtype=complex)
-    return fro(_adj(M) @ M - M @ _adj(M)) / (1.0 + fro(M) ** 2)
+    e = max(math.frexp(fro(M))[1], 0)
+    S = M * math.ldexp(1.0, -e)
+    gap = fro(_adj(S) @ S - S @ _adj(S))
+    with np.errstate(over="ignore"):
+        absolute = float(np.ldexp(gap, 2 * e))
+    return absolute, gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
+
+
+def normality_defect(M: np.ndarray) -> float:
+    """Scaled commutation defect ||M*M - MM*||_F / (1 + ||M||_F^2)."""
+    return _normality(M)[1]
 
 
 def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -192,7 +225,7 @@ def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_normal(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return fro(_adj(M) @ M - M @ _adj(M)) <= tol.structural * (1.0 + fro(M) ** 2)
+    return normality_defect(M) <= tol.structural
 
 
 def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
@@ -397,6 +430,18 @@ def hermitian_eigen_batch(
     )
 
 
+def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V*, made Hermitian when the values are real."""
+    M = (V * values) @ _adj(V)
+    return 0.5 * (M + _adj(M)) if np.isrealobj(values) else M
+
+
+def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """mu with entries within structural * (1 + |mu|) of the real axis put on it."""
+    snap = tol.structural * (1.0 + np.abs(mu))
+    return np.where(np.abs(mu.imag) <= snap, mu.real.astype(complex), mu)
+
+
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique positive semidefinite nth root of a psd matrix.
 
@@ -411,11 +456,7 @@ def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     lam_min = float(eig.eigenvalues[0])
     if lam_min < -tol.structural * scale:
         raise IndefiniteError(f"matrix is not psd: lambda_min = {lam_min:.3e}")
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    roots = lam ** (1.0 / n)
-    V = eig.vectors
-    R = (V * roots) @ _adj(V)
-    return 0.5 * (R + _adj(R))
+    return _spectral_map(eig.vectors, np.clip(eig.eigenvalues, 0.0, None) ** (1.0 / n))
 
 
 def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -472,37 +513,38 @@ def expi(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unitary exponential e^{iA} of a Hermitian matrix."""
     A = as_matrix(A, "A")
     eig = hermitian_eigen(A, tol)
-    V = eig.vectors
-    return (V * np.exp(1j * eig.eigenvalues)) @ _adj(V)
+    return _spectral_map(eig.vectors, np.exp(1j * eig.eigenvalues))
 
 
 def unitary_log(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian A with e^{iA} = U, eigenvalues of A in the principal
-    branch (-pi, pi]; arg(-1) = pi by convention."""
+    branch (-pi, pi].
+
+    Branch cut: an eigenvalue of U within 2 * structural of the real axis
+    counts as real, so -1 (and anything rounding left just below it) maps
+    to +pi, never -pi.
+    """
     U = as_matrix(U, "U")
     n = U.shape[0]
     if fro(_adj(U) @ U - np.eye(n)) > tol.structural * n:
         raise NotUnitaryError("input is not unitary within tolerance")
     mu, V = normal_eigen(U, tol)
-    # Unit-modulus eigenvalues; np.angle already lands in (-pi, pi].
-    A = (V * np.angle(mu)) @ _adj(V)
-    return 0.5 * (A + _adj(A))
+    return _spectral_map(V, np.angle(_branch_cut(mu, tol)))
 
 
 def polar_normal(N, tol: Tolerances = DEFAULT_TOL) -> PolarForm:
     """Commuting polar decomposition N = U P = P U of a normal matrix.
 
-    Zero eigenvalues of N map to unitary eigenvalue 1 (canonical completion
-    of U on the kernel of P).
+    Both factors come from one eigendecomposition N = V diag(mu) V*:
+    P = V |mu| V* and U = V (mu/|mu|) V*.  Zero eigenvalues of N map to
+    unitary eigenvalue 1 (canonical completion of U on the kernel of P).
     """
     N = as_matrix(N, "N")
     mu, V = normal_eigen(N, tol)
-    P = abs_op(N, tol)
     zero_thr = tol.structural * (1.0 + fro(N))
     mods = np.abs(mu)
     phases = np.where(mods > zero_thr, mu / np.where(mods > zero_thr, mods, 1.0), 1.0)
-    U = (V * phases) @ _adj(V)
-    return PolarForm(unitary=U, positive=P)
+    return PolarForm(unitary=_spectral_map(V, phases), positive=_spectral_map(V, mods))
 
 
 def operator_norm(M, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -22,6 +22,8 @@ from .linalg import (
     DEFAULT_TOL,
     IndefiniteError,
     Tolerances,
+    _branch_cut,
+    _spectral_map,
     abs_op,
     as_matrix,
     cartesian_parts,
@@ -29,6 +31,7 @@ from .linalg import (
     fro,
     hermitian_eigen,
     normal_eigen,
+    normality_defect,
     polar_normal,
     psd_root,
     require_normal,
@@ -74,13 +77,12 @@ def verify_root(root, target, order: int) -> RootCertificate:
     if not (isinstance(order, (int, np.integer)) and order >= 1):
         raise ValueError("order must be a positive integer")
     power = np.linalg.matrix_power(root, int(order))
-    adj = root.conj().T
     return RootCertificate(
         root=root,
         order=int(order),
         branch=0,
         power_residual=fro(power - target) / (1.0 + fro(target)),
-        normality_defect=fro(adj @ root - root @ adj) / (1.0 + fro(root) ** 2),
+        normality_defect=normality_defect(root),
     )
 
 
@@ -152,8 +154,10 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     """Branch-k nth root |N|^{1/n} e^{i(A + 2k pi I)/n} of a normal matrix.
 
     (U, P) is the commuting polar form of N and A = -i log U is Hermitian
-    with spectrum in (-pi, pi].  Any integer k is accepted; k and k + n give
-    the same root up to rounding.
+    with spectrum in (-pi, pi].  On the branch cut arg = +pi: an eigenvalue
+    of N on the negative real axis (to within rounding) gives e^{i pi/n} on
+    branch 0, as ``spectral_sqrt`` does for n = 2.  Any integer k is
+    accepted; k and k + n give the same root up to rounding.
     """
     N = as_matrix(N, "N")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -171,13 +175,10 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """Square root by the principal scalar branch on the spectrum.
 
     Eigenvalue-wise sqrt with arg of the result in (-pi/2, pi/2]; the branch
-    cut sends negative reals to +i sqrt|mu|.
+    cut rule (``linalg._branch_cut``) puts eigenvalues within
+    structural * (1 + |mu|) of the negative real axis on it, and sends them
+    to +i sqrt|mu|.
     """
     N = as_matrix(N, "N")
     mu, V = normal_eigen(N, tol)
-    # Snap rounding-level imaginary parts to zero so eigenvalues on the
-    # negative real axis land on the +i side of the cut deterministically.
-    snap = tol.structural * (1.0 + np.abs(mu))
-    mu = np.where(np.abs(mu.imag) <= snap, mu.real.astype(complex), mu)
-    root = (V * np.sqrt(mu)) @ V.conj().T
-    return _certify(root, N, 2, 0)
+    return _certify(_spectral_map(V, np.sqrt(_branch_cut(mu, tol))), N, 2, 0)

@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgError,
     Tolerances,
+    _normality,
     as_matrix,
     cartesian_parts,
     expi,
@@ -86,13 +87,6 @@ def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     la = hermitian_eigen(a, tol).eigenvalues
     lb = hermitian_eigen(b, tol).eigenvalues
     return _spectral_gap(la, lb, fro(a), fro(b), tol)
-
-
-def _negation_disjoint(A: np.ndarray, tol: Tolerances) -> bool:
-    """spectra_disjoint(A, -A) from one eigensolve: spec(-A) = -spec(A)."""
-    lam = hermitian_eigen(A, tol).eigenvalues
-    norm = fro(A)
-    return _spectral_gap(lam, -lam, norm, norm, tol)[0]
 
 
 def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -440,12 +434,6 @@ def classify_root_of_selfadjoint(
     small = tol.residual * scale
     inv_band = tol.structural * scale
 
-    def invertible() -> bool:
-        # sigma_min(T) = sqrt(lambda_min(T* T)), the smallest eigenvalue of |T|.
-        G = T.conj().T @ T
-        lam_min = float(hermitian_eigen(0.5 * (G + G.conj().T), tol).eigenvalues[0])
-        return float(np.sqrt(max(lam_min, 0.0))) > inv_band
-
     # Each hypothesis: evidence, case, the part whose spectrum is tested, the
     # part the conclusion forces to vanish, and the violation message.
     # Tested in this order; the first that holds decides.
@@ -458,9 +446,17 @@ def classify_root_of_selfadjoint(
          "root (||Re T|| = {:.3e})"),
     )
     for evidence, case, tested, vanishing, message in hypotheses:
-        if _negation_disjoint(tested, tol):
+        # spectra_disjoint(tested, -tested) from one eigensolve.
+        lam = hermitian_eigen(tested, tol).eigenvalues
+        norm = fro(tested)
+        if _spectral_gap(lam, -lam, norm, norm, tol)[0]:
             residual = fro(vanishing)
-            ok = residual <= small and invertible()
+            # Up to a factor i, T is tested + i vanishing, so by Weyl
+            # sigma_min(T) >= min |spec(tested)| - ||vanishing||_F; T* T,
+            # whose small eigenvalues sink below the eigensolver's floor, is
+            # never formed.
+            sigma_min = float(np.abs(lam).min()) - residual
+            ok = residual <= small and sigma_min > inv_band
             return ClassificationVerdict(
                 case=case,
                 evidence=evidence,
@@ -651,10 +647,8 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     else:
         applicable, part = None, None
 
-    adj = T.conj().T
-    defect = fro(adj @ T - T @ adj)
-    thr_n = tol.structural * (1.0 + fro(T) ** 2)
-    normal = defect <= thr_n
+    defect, scaled_defect = _normality(T)
+    normal = scaled_defect <= tol.structural
     if applicable is None:
         return NormalityReport(
             applicable=None,
@@ -671,7 +665,7 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     thr_c = tol.structural * (1.0 + fro(T) ** 3)
     commutes = cres <= thr_c
     in_band = (
-        thr_n < defect <= INDETERMINATE_FACTOR * thr_n
+        tol.structural < scaled_defect <= INDETERMINATE_FACTOR * tol.structural
         or thr_c < cres <= INDETERMINATE_FACTOR * thr_c
     )
     agree = None if in_band else (normal == commutes)

@@ -269,6 +269,25 @@ def test_cli_range_large_scale(tmp_path):
     assert results["witness_angle"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [["spectral-sqrt"], ["root", "--n", "3"]])
+def test_cli_normal_input_at_1e160(tmp_path, capsys, argv):
+    # ||N||_F^2 overflows a float; the normality test must not.
+    n_path = _write(tmp_path, "N.mat", np.diag([1e160, 1e160j]))
+    rpt = tmp_path / "r.json"
+    assert main([argv[0], n_path, *argv[1:], "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    certs = results.get("certificates", [results])
+    assert all(c["power_residual"] <= 1e-12 for c in certs)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_non_normal_input_at_1e160_exits_1(tmp_path, capsys):
+    n_path = _write(tmp_path, "J.mat", 1e160 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert main(["spectral-sqrt", n_path]) == 1
+    err = capsys.readouterr().err
+    assert "not normal" in err and "Traceback" not in err
+
+
 def test_cli_non_ascii_matrix_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_bytes(b"1\n1 0\xe9\n")

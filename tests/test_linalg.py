@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from normalroots.linalg import (
     fro,
     hermitian_eigen,
     hermitian_eigen_batch,
+    is_normal,
     normal_eigen,
+    normality_defect,
     operator_norm,
     polar_normal,
     psd_root,
@@ -129,6 +133,36 @@ def test_fro_survives_overflow():
     assert fro(np.array([[np.inf, 0.0], [0.0, 0.0]])) == np.inf
     H = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert fro(H) == float(np.linalg.norm(H))
+
+
+def test_fro_overflow_prints_no_warning():
+    M = np.full((3, 3), 1e200 + 1e200j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fro(M) == pytest.approx(np.sqrt(18.0) * 1e200, rel=1e-15)
+        assert fro(M.real) == pytest.approx(3e200, rel=1e-15)
+        assert np.allclose(fro(np.stack([M, M.T])), fro(M), rtol=1e-15)
+
+
+def test_fro_matches_numpy_bit_for_bit(rng):
+    # The 2-D path takes np.linalg.norm's sum of squares in its own order,
+    # so thresholds built on fro are unchanged.
+    for n in (1, 2, 3, 5, 8, 17):
+        M = random_dense(rng, n, scale=10.0 ** rng.uniform(-5, 5))
+        for X in (M, M.conj().T, M.real, M[:, ::2], np.eye(n, dtype=int)):
+            assert fro(X) == float(np.linalg.norm(X))
+
+
+@pytest.mark.parametrize("scale, jordan_defect", [
+    (1e-200, 0.0), (1.0, np.sqrt(0.5)), (1e160, np.sqrt(2.0)), (1e300, np.sqrt(2.0)),
+])
+def test_normality_defect_at_every_scale(scale, jordan_defect):
+    # Taken on M / 2^e, so the squares of ||M||_F ~ 1e300 do not overflow.
+    N = scale * np.diag([1.0, 1j])
+    J = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert normality_defect(N) == 0.0 and is_normal(N)
+    assert normality_defect(J) == pytest.approx(jordan_defect, rel=1e-15)
+    assert is_normal(J) == (jordan_defect == 0.0)
 
 
 def test_eigen_large_scale():
@@ -342,6 +376,19 @@ def test_unitary_log_rejects_non_unitary():
         unitary_log(2.0 * np.eye(2))
 
 
+def test_unitary_log_branch_cut_gives_plus_pi():
+    # Rounding leaves the double eigenvalue -1 of U on either side of the
+    # cut; the rule puts it on the cut, so it maps to +pi on every input.
+    spectrum = np.array([-1.0, -1.0, 1j, np.exp(0.3j)])
+    for seed in range(200):
+        Q = random_unitary(np.random.default_rng(seed), 4)
+        A = unitary_log((Q * spectrum) @ Q.conj().T)
+        lam = np.linalg.eigvalsh(A)
+        assert lam[0] > -np.pi
+        assert lam[-1] <= np.pi + 1e-12
+        assert np.allclose(lam, [0.3, np.pi / 2, np.pi, np.pi], atol=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 8))
 def test_expi_log_inversion_property(seed, n):
@@ -369,6 +416,19 @@ def test_polar_random_normal(rng):
     assert fro(form.unitary @ form.positive - N) <= 1e-10 * scale
     assert fro(form.unitary @ form.positive - form.positive @ form.unitary) <= 1e-10 * scale
     assert hermitian_eigen(form.positive).eigenvalues[0] >= -1e-10 * scale
+
+
+def test_polar_positive_factor_from_one_eigendecomposition():
+    # P = V |mu| V* from normal_eigen agrees with the independent |N| of
+    # abs_op (a psd root of N* N).
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        N, _ = random_normal(rng, 2 + seed % 6, modulus_range=(0.5, 3.0))
+        form = polar_normal(N)
+        scale = 1.0 + fro(N)
+        assert fro(form.positive - abs_op(N)) <= 1e-12 * scale
+        assert fro(form.unitary @ form.positive - N) <= 1e-12 * scale
+        assert fro(form.positive - form.positive.conj().T) == 0.0
 
 
 # --- operator_norm / classify ----------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normalroots import linalg, roots as roots_module
 from normalroots.linalg import IndefiniteError, NotNormalError, fro
 from normalroots.roots import (
     nth_root,
@@ -11,7 +12,7 @@ from normalroots.roots import (
     sqrt_signdef,
     verify_root,
 )
-from normalroots.sampling import random_normal, random_normal_signdef
+from normalroots.sampling import random_normal, random_normal_signdef, random_unitary
 
 
 # --- sign_case ---------------------------------------------------------------
@@ -150,6 +151,36 @@ def test_nth_root_branch_periodicity(rng):
         r1 = nth_root(N, n, k).root
         r2 = nth_root(N, n, k + n).root
         assert fro(r1 - r2) <= 1e-12 * scale
+
+
+def test_nth_root_eigensolve_count(monkeypatch):
+    # Per branch: normal_eigen(N) (its factors give both U and P), then
+    # normal_eigen(U) in unitary_log, psd_root(P) and expi.
+    calls = []
+    serial = linalg.hermitian_eigen
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eigen", counted)
+    monkeypatch.setattr(roots_module, "hermitian_eigen", counted)
+    N, _ = random_normal(np.random.default_rng(606), 6)
+    assert np.min(np.diff(np.linalg.eigvalsh(0.5 * (N + N.conj().T)))) > 1e-3
+    for k in range(3):
+        calls.clear()
+        assert nth_root(N, 3, k).power_residual <= 1e-12
+        assert len(calls) == 4
+
+
+def test_nth_root_square_takes_the_spectral_sqrt_side_of_the_cut():
+    # -2 and -1 lie on the cut; branch 0 of the square root sends both to
+    # the +i side, as spectral_sqrt does.
+    for seed in range(200):
+        Q = random_unitary(np.random.default_rng(seed), 4)
+        N = (Q * np.array([-2.0, -1.0, 1j, 3.0])) @ Q.conj().T
+        gap = fro(nth_root(N, 2, 0).root - spectral_sqrt(N).root)
+        assert gap <= 1e-10 * (1.0 + fro(N))
 
 
 def test_nth_root_order_one_is_identity_map(rng):

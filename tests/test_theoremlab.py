@@ -84,10 +84,13 @@ def _counted(calls, name, fn):
     return wrapper
 
 
-def _with_spectrum(rng, lam):
-    U = random_unitary(rng, len(lam))
+def _with_spectrum_of(U, lam):
     H = (U * lam) @ U.conj().T
     return 0.5 * (H + H.conj().T)
+
+
+def _with_spectrum(rng, lam):
+    return _with_spectrum_of(random_unitary(rng, len(lam)), lam)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8, 16, 32])
@@ -211,10 +214,11 @@ def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative
     assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
-@pytest.mark.parametrize("skew, solves", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("skew, solves", [(False, 1), (True, 2)])
 def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
-    # One eigensolve per Cartesian part tested and one of T*T; the library
-    # module is patched too so that solves made inside linalg are counted.
+    # One eigensolve per Cartesian part tested; the invertibility bound
+    # reuses the tested part's eigenvalues.  The library module is patched
+    # too so that solves made inside linalg are counted.
     calls = {"serial": 0, "batch": 0}
     serial = _counted(calls, "serial", linalg.hermitian_eigen)
     monkeypatch.setattr(linalg, "hermitian_eigen", serial)
@@ -227,6 +231,22 @@ def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
     assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
     assert v.violation is None
     assert calls == {"serial": solves, "batch": 0}
+
+
+def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
+    # sigma_min(T) = 1e-9 is far above the invertibility band, but
+    # lambda_min(T* T) = 1e-18 is below the eigensolver's floor; the bound
+    # from the tested part's own eigenvalues decides correctly.
+    violations = 0
+    for seed in range(200):
+        U = random_unitary(np.random.default_rng(seed), 4)
+        for sign in (1.0, -1.0):
+            T = _with_spectrum_of(U, sign * np.array([1e-9, 0.7, 1.3, 2.0]))
+            for X, case in ((T, "selfadjoint_invertible"), (1j * T, "skew_invertible")):
+                v = classify_root_of_selfadjoint(X, X @ X)
+                assert v.case == case
+                violations += v.violation is not None
+    assert violations == 0
 
 
 def test_classify_inconclusive_eigensolve_count(monkeypatch):
