@@ -20,6 +20,7 @@ from .linalg import (
     expi,
     hermitian_eigen,
     hermitian_eigen_batch,
+    hermitian_eigvals,
     normal_eigen,
     operator_norm,
     polar_normal,

@@ -1,22 +1,39 @@
 """Dense complex linear algebra primitives.
 
 Everything downstream (root construction, theorem checking, the CLI) works on
-plain numpy complex arrays.  This module owns the spectral machinery: two
-Jacobi eigensolvers for complex Hermitian matrices, eigendecomposition of
+plain numpy complex arrays.  This module owns the spectral machinery: three
+eigensolvers for complex Hermitian matrices, eigendecomposition of
 normal matrices by simultaneous diagonalization of the Cartesian parts, psd
 nth roots, polar decomposition of normal matrices, and the unitary
 exponential/logarithm pair with the principal branch fixed to (-pi, pi].
 
-The two eigensolvers apply the same input checks and stopping rule:
+Three Hermitian eigensolvers apply the same input checks (``as_matrix``,
+``require_hermitian``):
 
-- ``hermitian_eigen`` runs cyclic Jacobi on one matrix.  Every construction
-  that factorizes one matrix at a time goes through it.
+- ``hermitian_eigvals`` returns the eigenvalues only: Householder
+  tridiagonalization, then Sturm-count bisection of every index at once.  It
+  serves every caller that discards the vectors: ``operator_norm`` (and the
+  CLI ``volterra`` command), the psd/nsd flags of ``classify``,
+  ``roots.sign_case``, and in the theorem lab ``spectra_disjoint``, the gap
+  test of ``classify_root_of_selfadjoint``, ``check_zero_square`` and
+  ``normality_equivalence``.  Its cost is O(n^3) in a few numpy calls per
+  row, against O(n^2) Python-level rotations per Jacobi sweep.
+- ``hermitian_eigen`` runs cyclic Jacobi on one matrix and returns the
+  vectors too.  Every construction that needs an eigenbasis of one matrix
+  goes through it: ``psd_root``, ``normal_eigen``, ``expi`` and the
+  Hermitian case of the numerical-range test.  The vectors stay on Jacobi
+  because Jacobi's are orthogonal to working precision even inside clusters
+  of equal eigenvalues, which the constructions rely on; a faster vector
+  engine (inverse iteration on the tridiagonal form) has not yet matched
+  that.
 - ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
   rotating n/2 disjoint pairs of every member at once.  It serves callers
   that need many small eigensolves together: the Hermitian Sylvester solve
   (both coefficients in one call) and the angle search of the
   numerical-range test.  For one small matrix it is slower than the serial
   loop, so single solves stay serial.
+
+The two Jacobi solvers share one stopping rule, sweep * (1 + ||H||_F).
 
 Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 ``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
@@ -55,6 +72,7 @@ __all__ = [
     "recompose",
     "hermitian_eigen",
     "hermitian_eigen_batch",
+    "hermitian_eigvals",
     "psd_root",
     "abs_op",
     "normal_eigen",
@@ -200,19 +218,34 @@ def hermitian_defect(M: np.ndarray) -> float:
     return fro(M - _adj(M))
 
 
+def _unit_scale(M: np.ndarray, down_only: bool = False) -> tuple[np.ndarray, int]:
+    """(M / 2^e, e) for the power of two 2^e just above ||M||_F, with
+    |e| <= 1021 and, when down_only, e >= 0.
+
+    The scaling is exact: sums and products of the scaled matrix are those
+    of M times the matching power of two, rounding included, except where
+    M's own would overflow or underflow.  A floor such as 1 + ||M||^k
+    becomes 2^(-k e) + ||M / 2^e||^k, which down_only keeps finite.
+    """
+    e = min(max(math.frexp(fro(M))[1], 0 if down_only else -1021), 1021)
+    return M * math.ldexp(1.0, -e), e
+
+
+def _unscale(x: float, k: int) -> float:
+    """x * 2^k, inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, k))
+
+
 def _normality(M: np.ndarray) -> tuple[float, float]:
     """||M*M - MM*||_F, and the same over 1 + ||M||_F^2.
 
-    Both are taken on M / 2^e, 2^e the power of two just above ||M||_F
-    (e >= 0), and scaled back exactly, so no square overflows on finite M.
+    Both are taken on M / 2^e (``_unit_scale``, e >= 0) and scaled back
+    exactly, so no square overflows on finite M.
     """
-    M = np.asarray(M, dtype=complex)
-    e = max(math.frexp(fro(M))[1], 0)
-    S = M * math.ldexp(1.0, -e)
+    S, e = _unit_scale(np.asarray(M, dtype=complex), down_only=True)
     gap = fro(_adj(S) @ S - S @ _adj(S))
-    with np.errstate(over="ignore"):
-        absolute = float(np.ldexp(gap, 2 * e))
-    return absolute, gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
+    return _unscale(gap, 2 * e), gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
 
 
 def normality_defect(M: np.ndarray) -> float:
@@ -226,6 +259,14 @@ def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_normal(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return normality_defect(M) <= tol.structural
+
+
+def _is_unitary(M: np.ndarray, tol: Tolerances) -> bool:
+    """||M*M - I||_F <= structural * n.  M*M overflows only when M is far
+    from unitary; the inf (or nan) that gives then fails the test, silently."""
+    n = M.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(fro(_adj(M) @ M - np.eye(n)) <= tol.structural * n)
 
 
 def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
@@ -430,6 +471,128 @@ def hermitian_eigen_batch(
     )
 
 
+def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal moduli |e| of a real symmetric tridiagonal
+    matrix unitarily similar to the Hermitian A (real or complex).
+
+    Householder reflections I - tau v v* with the rank-2 trailing update of
+    LAPACK's zhetrd: p = tau A v, w = p - (tau/2)(v* p) v, A -= v w* + w v*.
+    The phases of the off-diagonal entries are dropped, which a diagonal
+    unitary similarity does exactly.  The matrix-vector product goes
+    through einsum, not BLAS: at these sizes a multithreaded gemv costs far
+    more than it saves once another process keeps the other cores busy.
+    """
+    A = A.copy()
+    n = A.shape[0]
+    d = np.empty(n)
+    e = np.zeros(n - 1)
+    for k in range(n - 2):
+        x = A[k + 1:, k]
+        norm = math.sqrt(np.vdot(x, x).real)
+        d[k], e[k] = A[k, k].real, norm
+        if norm == 0.0:
+            continue
+        x0 = x[0]
+        a0 = abs(x0)
+        v = x.copy()
+        v[0] += (x0 / a0 if a0 else 1.0) * norm  # |v_0| = |x_0| + norm, no cancellation
+        tau = 1.0 / (norm * (norm + a0))  # 2 / (v* v)
+        B = A[k + 1:, k + 1:]
+        p = tau * np.einsum("ij,j->i", B, v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        B -= np.outer(v, w.conj())
+        B -= np.outer(w, v.conj())
+    if n > 1:
+        e[n - 2] = abs(A[n - 1, n - 2])
+        d[n - 2] = A[n - 2, n - 2].real
+    d[n - 1] = A[n - 1, n - 1].real
+    return d, e
+
+
+# Sturm counts per bisection step: about this many points in all, and at
+# least two per eigenvalue index.
+_STURM_POINTS = 256
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _sturm_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e), n >= 2,
+    each to within eps times the Gershgorin bound on the spectrum (Barth,
+    Martin & Wilkinson 1967).
+
+    The number of eigenvalues below x is the number of negative pivots
+    q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} of the LDL* factorization of
+    T - xI, counted for all points x at once.  A zero pivot is taken as +0:
+    IEEE division makes the next pivot -inf, and the one after that
+    (d - x) + 0, the limit of a tiny positive pivot.  For that, -0.0 is
+    cleared from d, and e^2 is floored at the smallest normal number (a
+    change far below one ulp of the bound), so no 0/0 arises at a split.
+
+    Every index starts on the Gershgorin interval.  Each step counts K
+    interior points per index (one shared grid in the first step) and keeps
+    the subinterval where the count crosses the index, so the widths shrink
+    by K + 1 per step and the number of steps is fixed by n in advance.
+    """
+    n = d.shape[0]
+    d = d + 0.0
+    e2 = np.maximum(e * e, _TINY)
+    radius = np.zeros(n)
+    radius[:-1] += e
+    radius[1:] += e
+    bound = float(np.max(np.abs(d) + radius))
+    slack = 2.0 * n * _EPS * bound
+    gl, gu = float(np.min(d - radius)) - slack, float(np.max(d + radius)) + slack
+    K = max(2, _STURM_POINTS // n)
+    first = n * K
+    steps = 1 + max(0, math.ceil(math.log((gu - gl) / ((first + 1) * 2.0 * _EPS * bound),
+                                          K + 1)))
+    lo, hi = np.full(n, gl), np.full(n, gu)
+    index = np.arange(n)[:, None]
+    fractions = np.arange(1, K + 1) / (K + 1)
+    x = gl + (gu - gl) * (np.arange(1, first + 1) / (first + 1))[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(steps):
+            negative = np.empty((n,) + x.shape, dtype=bool)
+            q = d[0] - x
+            np.less(q, 0.0, out=negative[0])
+            for i in range(1, n):
+                q = (d[i] - x) - e2[i - 1] / q
+                np.less(q, 0.0, out=negative[i])
+            below = negative.sum(axis=0) <= index  # lambda_index > x
+            lo = np.maximum(lo, np.where(below, x, -np.inf).max(axis=1))
+            hi = np.minimum(hi, np.where(below, np.inf, x).min(axis=1))
+            x = lo[:, None] + (hi - lo)[:, None] * fractions
+    return np.sort(0.5 * (lo + hi))
+
+
+def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a complex Hermitian matrix, ascending, without vectors.
+
+    Same input checks, and so the same LinalgError / NotHermitianError, as
+    ``hermitian_eigen``.  The matrix is scaled by an exact power of two to
+    entries below 1 in modulus, reduced to real symmetric tridiagonal form by
+    Householder reflections (``_tridiagonal``, real arithmetic for real
+    input), bisected on Sturm counts (``_sturm_bisect``) and scaled back.  The
+    error is a small multiple of n * eps * ||H||_2, and 2^k H gives exactly
+    2^k times the values of H.  The loop counts are fixed by n, so this never
+    raises ConvergenceError, and tol.sweep does not apply.
+    """
+    H = as_matrix(H, "H")
+    A = require_hermitian(H, tol, "H")
+    n = A.shape[0]
+    peak = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max())
+    if peak == 0.0:
+        return np.zeros(n)
+    e = math.frexp(peak)[1]
+    A = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e)
+    if not A.imag.any():
+        A = A.real
+    d, off = _tridiagonal(A)
+    lam = d if n == 1 else _sturm_bisect(d, off)
+    return np.ldexp(lam, e)
+
+
 def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V*, made Hermitian when the values are real."""
     M = (V * values) @ _adj(V)
@@ -460,10 +623,17 @@ def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """|T| = psd square root of T*T."""
+    """|T| = psd square root of T*T.
+
+    Where T*T would overflow or underflow (||T||_F outside [2^-500, 2^500])
+    it is taken as 2^e |T / 2^e| (``_unit_scale``).  Inputs in that range
+    are not scaled: the Jacobi stop rule sweep * (1 + ||G||_F) has an
+    absolute floor, so a unit-norm G would come out less accurate.
+    """
     T = as_matrix(T, "T")
-    G = _adj(T) @ T
-    return psd_root(0.5 * (G + _adj(G)), 2, tol)
+    S, e = (T, 0) if 2.0 ** -500 <= fro(T) <= 2.0 ** 500 else _unit_scale(T)
+    G = _adj(S) @ S
+    return psd_root(0.5 * (G + _adj(G)), 2, tol) * math.ldexp(1.0, e)
 
 
 def _clusters(values: np.ndarray, gap: float) -> list:
@@ -525,8 +695,7 @@ def unitary_log(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     to +pi, never -pi.
     """
     U = as_matrix(U, "U")
-    n = U.shape[0]
-    if fro(_adj(U) @ U - np.eye(n)) > tol.structural * n:
+    if not _is_unitary(U, tol):
         raise NotUnitaryError("input is not unitary within tolerance")
     mu, V = normal_eigen(U, tol)
     return _spectral_map(V, np.angle(_branch_cut(mu, tol)))
@@ -548,27 +717,27 @@ def polar_normal(N, tol: Tolerances = DEFAULT_TOL) -> PolarForm:
 
 
 def operator_norm(M, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Spectral norm sqrt(lambda_max(M* M))."""
-    M = as_matrix(M, "M")
-    G = _adj(M) @ M
-    eig = hermitian_eigen(0.5 * (G + _adj(G)), tol)
-    return float(np.sqrt(max(float(eig.eigenvalues[-1]), 0.0)))
+    """Spectral norm sqrt(lambda_max(M* M)), taken as 2^e ||M / 2^e||_2
+    (``_unit_scale``) so that M* M neither overflows nor underflows."""
+    S, e = _unit_scale(as_matrix(M, "M"))
+    G = _adj(S) @ S
+    lam_max = float(hermitian_eigvals(0.5 * (G + _adj(G)), tol)[-1])
+    return _unscale(math.sqrt(max(lam_max, 0.0)), e)
 
 
 def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:
     """Structural flags decided by scaled Frobenius tests."""
     M = as_matrix(M, "M")
-    n = M.shape[0]
     norm = fro(M)
     herm = is_hermitian(M, tol)
     normal = is_normal(M, tol)
     psd = nsd = False
     if herm:
-        eig = hermitian_eigen(0.5 * (M + _adj(M)), tol)
+        lam = hermitian_eigvals(0.5 * (M + _adj(M)), tol)
         band = tol.structural * (1.0 + norm)
-        psd = float(eig.eigenvalues[0]) >= -band
-        nsd = float(eig.eigenvalues[-1]) <= band
-    unitary = fro(_adj(M) @ M - np.eye(n)) <= tol.structural * n
+        psd = float(lam[0]) >= -band
+        nsd = float(lam[-1]) <= band
+    unitary = _is_unitary(M, tol)
     zero = norm <= tol.structural
     return MatrixFlags(
         hermitian=herm, normal=normal, psd=psd, nsd=nsd, unitary=unitary, zero=zero

@@ -29,7 +29,7 @@ from .linalg import (
     cartesian_parts,
     expi,
     fro,
-    hermitian_eigen,
+    hermitian_eigvals,
     normal_eigen,
     normality_defect,
     polar_normal,
@@ -93,10 +93,10 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     Raises IndefiniteError when eigenvalues of both signs exceed the band.
     """
     D = as_matrix(D, "D")
-    eig = hermitian_eigen(D, tol)
+    lam = hermitian_eigvals(D, tol)
     band = tol.structural * (1.0 + fro(D))
-    lam_min = float(eig.eigenvalues[0])
-    lam_max = float(eig.eigenvalues[-1])
+    lam_min = float(lam[0])
+    lam_max = float(lam[-1])
     if lam_min >= -band:
         return "nonneg"
     if lam_max <= band:

@@ -15,6 +15,7 @@ point of the lab is falsification with evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,12 +25,15 @@ from .linalg import (
     LinalgError,
     Tolerances,
     _normality,
+    _unit_scale,
+    _unscale,
     as_matrix,
     cartesian_parts,
     expi,
     fro,
     hermitian_eigen,
     hermitian_eigen_batch,
+    hermitian_eigvals,
     is_hermitian,
     require_hermitian,
 )
@@ -84,8 +88,8 @@ def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     minimal eigenvalue gap alongside."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    la = hermitian_eigen(a, tol).eigenvalues
-    lb = hermitian_eigen(b, tol).eigenvalues
+    la = hermitian_eigvals(a, tol)
+    lb = hermitian_eigvals(b, tol)
     return _spectral_gap(la, lb, fro(a), fro(b), tol)
 
 
@@ -447,7 +451,7 @@ def classify_root_of_selfadjoint(
     )
     for evidence, case, tested, vanishing, message in hypotheses:
         # spectra_disjoint(tested, -tested) from one eigensolve.
-        lam = hermitian_eigen(tested, tol).eigenvalues
+        lam = hermitian_eigvals(tested, tol)
         norm = fro(tested)
         if _spectral_gap(lam, -lam, norm, norm, tol)[0]:
             residual = fro(vanishing)
@@ -509,18 +513,22 @@ def _sign_status(lam_min: float, lam_max: float, band: float, mode: str) -> str:
 
 
 def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
-    """Check the nilpotent (T^2 = 0) consequences on one instance."""
+    """Check the nilpotent (T^2 = 0) consequences on one instance.
+
+    Products are taken on S = T / 2^e (``linalg._unit_scale``) and scaled
+    back exactly, so none overflows on finite T.
+    """
     T = as_matrix(T, "T")
-    square = T @ T
-    scale2 = 1.0 + fro(T) ** 2
-    square_norm = fro(square)
-    if square_norm > tol.residual * scale2:
+    S, e = _unit_scale(T, down_only=True)
+    square = fro(S @ S)
+    if square > tol.residual * (math.ldexp(1.0, -2 * e) + fro(S) ** 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
-    parts = cartesian_parts(T, tol)
+    square_norm = _unscale(square, 2 * e)
+    parts = cartesian_parts(S, tol)
     A, B = parts.re, parts.im
-    sys_res = (fro(A @ A - B @ B), fro(A @ B + B @ A))
-    la = hermitian_eigen(A, tol).eigenvalues
-    lb = hermitian_eigen(B, tol).eigenvalues
+    sys_res = (_unscale(fro(A @ A - B @ B), 2 * e), _unscale(fro(A @ B + B @ A), 2 * e))
+    la = np.ldexp(hermitian_eigvals(A, tol), e)
+    lb = np.ldexp(hermitian_eigvals(B, tol), e)
     re_margins = (float(la[0]), float(la[-1]))
     im_margins = (float(lb[0]), float(lb[-1]))
     band = tol.structural * (1.0 + fro(T))
@@ -585,18 +593,22 @@ def commutator_identities(T, tol: Tolerances = DEFAULT_TOL) -> tuple[float, floa
     expanding T^2 gives C = A^2 - B^2 and D = AB + BA, and substituting
     A^2 = B^2 + C (resp. B^2 = A^2 - C) into A^2 B - B A^2 = AD - DA yields
     the two brackets.  In particular BC = CB iff AD = DA, and AC = CA iff
-    BD = DB."""
-    T = as_matrix(T, "T")
-    ab = cartesian_parts(T, tol)
-    cd = cartesian_parts(T @ T, tol)
+    BD = DB.
+
+    The brackets are taken on T / 2^e (``linalg._unit_scale``) and the
+    residuals scaled back by 2^(3e), so no product overflows; a residual
+    beyond the float range reads inf."""
+    S, e = _unit_scale(as_matrix(T, "T"), down_only=True)
+    ab = cartesian_parts(S, tol)
+    cd = cartesian_parts(S @ S, tol)
     A, B, C, D = ab.re, ab.im, cd.re, cd.im
 
     def comm(X, Y):
         return X @ Y - Y @ X
 
     return (
-        fro(comm(C, B) - comm(A, D)),
-        fro(comm(A, C) - comm(B, D)),
+        _unscale(fro(comm(C, B) - comm(A, D)), 3 * e),
+        _unscale(fro(comm(A, C) - comm(B, D)), 3 * e),
     )
 
 
@@ -631,15 +643,21 @@ def _definite(lam: np.ndarray, band: float) -> bool:
 
 def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     """Evaluate the biconditional between normality of T and commutation of
-    the sign-definite Cartesian part with Im T^2."""
+    the sign-definite Cartesian part with Im T^2.
+
+    Everything is taken on T / 2^e (``linalg._unit_scale``), with each
+    floor 1 + ||.||^k as 2^(-ke) + ||.||^k, so every test reads as on T and
+    no product overflows; the commutation residual is scaled back by 2^(3e).
+    """
     T = as_matrix(T, "T")
-    parts = cartesian_parts(T, tol)
+    M, e = _unit_scale(T, down_only=True)
+    parts = cartesian_parts(M, tol)
     A, B = parts.re, parts.im
-    S = T @ T
+    S = M @ M
     D = cartesian_parts(S, tol).im
-    band = tol.structural * (1.0 + fro(T))
-    la = hermitian_eigen(A, tol).eigenvalues
-    lb = hermitian_eigen(B, tol).eigenvalues
+    band = tol.structural * (math.ldexp(1.0, -e) + fro(M))
+    la = hermitian_eigvals(A, tol)
+    lb = hermitian_eigvals(B, tol)
     if _definite(la, band):
         applicable, part = "re", A
     elif _definite(lb, band):
@@ -661,13 +679,14 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
             selfadjoint_clause_checked=False,
         )
 
-    cres = fro(part @ D - D @ part)
-    thr_c = tol.structural * (1.0 + fro(T) ** 3)
-    commutes = cres <= thr_c
+    scaled_cres = fro(part @ D - D @ part)
+    thr_c = tol.structural * (math.ldexp(1.0, -3 * e) + fro(M) ** 3)
+    commutes = scaled_cres <= thr_c
     in_band = (
         tol.structural < scaled_defect <= INDETERMINATE_FACTOR * tol.structural
-        or thr_c < cres <= INDETERMINATE_FACTOR * thr_c
+        or thr_c < scaled_cres <= INDETERMINATE_FACTOR * thr_c
     )
+    cres = _unscale(scaled_cres, 3 * e)
     agree = None if in_band else (normal == commutes)
     violation = None
     if agree is False:
@@ -676,7 +695,7 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
             f"(defect {defect:.3e}, [part, Im T^2] residual {cres:.3e})"
         )
     # Final clause: Hermitian T^2 plus a sign-definite part forces normality.
-    clause_checked = fro(D) <= tol.structural * (1.0 + fro(S))
+    clause_checked = fro(D) <= tol.structural * (math.ldexp(1.0, -2 * e) + fro(S))
     if clause_checked and not normal and violation is None:
         violation = (
             "THEOREM VIOLATION: T^2 self-adjoint and a Cartesian part "

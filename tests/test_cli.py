@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from normalroots.cli import main
+from normalroots.linalg import fro
 from normalroots.matio import (
     MatrixFormatError,
     format_matrix,
@@ -375,3 +377,96 @@ def test_cli_results_schema(tmp_path, argv, keys):
         assert set(results["flags"]) == {"hermitian", "normal", "psd", "nsd", "unitary", "zero"}
     if argv[0] == "root":
         assert [set(c) for c in results["certificates"]] == [_CERTIFICATE_KEYS] * 3
+
+
+def test_cli_parser_is_built_once():
+    from normalroots.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_cli_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # One process, one parser: successive calls, a usage error among them,
+    # give the reports, exit codes and stderr of fresh processes.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    n_path = _write(tmp_path, "N.mat", np.diag([4.0, 1j]))
+    t_path = _write(tmp_path, "T.mat", np.array([[1.0, 2.0], [0.5j, -1.0]]))
+    runs = [
+        ["root", n_path, "--n", "3", "--k", "1"],
+        ["sqrt", n_path, "--tol-residual", "1e-8"],
+        ["root", n_path, "--n"],  # usage error: --n without a value
+        ["root", n_path, "--n", "3"],  # --k back to its default
+        ["commutators", t_path],
+        ["sqrt", n_path],
+    ]
+
+    def outcome(code, err, rpt):
+        report = _read_report(rpt) if rpt.exists() else None
+        if report is not None:
+            report.pop("wall_time_s")
+            rpt.unlink()
+        return code, err, report
+
+    in_process = []
+    for i, argv in enumerate(runs):
+        rpt = tmp_path / f"r{i}.json"
+        try:
+            code = main(argv + ["--json", str(rpt)])
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append(outcome(code, capsys.readouterr().err, rpt))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for i, argv in enumerate(runs):
+        rpt = tmp_path / f"r{i}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "normalroots.cli", *argv, "--json", str(rpt)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        fresh.append(outcome(proc.returncode, proc.stderr, rpt))
+
+    assert [o[0] for o in in_process] == [0, 0, 64, 0, 0, 0]
+    assert in_process == fresh
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e160])
+def test_cli_zero_square_and_commutators_at_large_scale(tmp_path, capsys, scale):
+    # ||T||^2 and ||T||^3 overflow a float; the bounds built on them must not.
+    t_path = _write(tmp_path, "J.mat", scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    rpt = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["zero-square", t_path, "--json", str(rpt)]) == 0
+        results = _read_report(rpt)["results"]
+        assert results["norm_t"] == scale and results["square_norm"] == 0.0
+        assert results["violation"] is None
+        assert results["re_indefinite"] and results["im_indefinite"]
+        assert results["re_margins"] == pytest.approx([-scale / 2, scale / 2], rel=1e-15)
+        assert main(["commutators", t_path, "--json", str(rpt)]) == 0
+        assert _read_report(rpt)["results"]["within_bound"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sqrt_and_decompose_at_1e160(tmp_path, capsys):
+    # N* N overflows; |N| is taken on N / 2^e, and the unitary test of
+    # decompose fails the overflowing product without a warning.
+    n_path = _write(tmp_path, "N.mat", np.diag([1e160, 1e160j]))
+    out = tmp_path / "T.mat"
+    rpt = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sqrt", n_path, "--out", str(out), "--json", str(rpt)]) == 0
+        expected = np.diag([1e80, 1e80 * np.exp(0.25j * np.pi)])
+        assert fro(load_matrix(out) - expected) <= 1e-12 * fro(expected)
+        assert _read_report(rpt)["results"]["sign_case"] == "nonneg"
+        assert main(["decompose", n_path, "--json", str(rpt)]) == 0
+        flags = _read_report(rpt)["results"]["flags"]
+        assert flags["normal"] and not flags["unitary"] and not flags["hermitian"]
+    assert capsys.readouterr().err == ""

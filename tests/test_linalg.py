@@ -18,6 +18,7 @@ from normalroots.linalg import (
     fro,
     hermitian_eigen,
     hermitian_eigen_batch,
+    hermitian_eigvals,
     is_normal,
     normal_eigen,
     normality_defect,
@@ -179,6 +180,141 @@ def test_eigen_convergence_error_reports_state():
         hermitian_eigen(H, max_sweeps=0)
     with pytest.raises(ConvergenceError, match=r"in 0 sweeps: member 1 off-diagonal norm"):
         hermitian_eigen_batch(np.stack([np.eye(3), H]), max_sweeps=0)
+
+
+# --- hermitian_eigvals -------------------------------------------------------
+
+
+def _test_spectrum(rng, n, kind):
+    """Ascending test spectrum: spread, repeated, or clustered within 1e-9."""
+    if kind == "repeated":
+        return np.sort(rng.choice(rng.uniform(-3.0, 3.0, int(rng.integers(1, 4))), n))
+    lam = rng.uniform(-3.0, 3.0, n)
+    if kind == "clustered":
+        lam = np.repeat(lam[:(n + 3) // 4], 4)[:n] + 1e-9 * rng.standard_normal(n)
+    return np.sort(lam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 64),
+       st.sampled_from(["dense", "spread", "repeated", "clustered", "real"]),
+       st.floats(-3.0, 3.0))
+def test_eigvals_matches_lapack(seed, n, kind, log_scale):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        H = random_hermitian(rng, n)
+    elif kind == "real":
+        G = rng.standard_normal((n, n))
+        H = G + G.T
+    else:
+        U = random_unitary(rng, n)
+        H = (U * _test_spectrum(rng, n, kind)) @ U.conj().T
+        H = 0.5 * (H + H.conj().T)
+    H = H * 10.0 ** log_scale
+    lam = hermitian_eigvals(H)
+    ref = np.linalg.eigvalsh(H)
+    assert lam.shape == (n,) and lam.dtype == np.float64
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(-600, 600), st.booleans())
+def test_eigvals_bitwise_equivariant_under_powers_of_two(seed, n, k, real):
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n)
+    if real:
+        H = H.real
+    Hk = np.ldexp(H.real, k) + 1j * np.ldexp(H.imag, k)
+    assert np.array_equal(hermitian_eigvals(Hk), np.ldexp(hermitian_eigvals(H), k))
+
+
+@pytest.mark.parametrize("H, expected", [
+    ([[2.0, 1.0], [1.0, 2.0]], [1.0, 3.0]),  # a zero pivot at x = 2
+    ([[5.0]], [5.0]),
+    (np.zeros((3, 3)), [0.0, 0.0, 0.0]),
+    (np.diag([2.0, -1.0, 2.0, 0.0]), [-1.0, 0.0, 2.0, 2.0]),  # e = 0: every row splits
+    (np.ones((4, 4)), [0.0, 0.0, 0.0, 4.0]),
+    ([[0.0, -1j], [1j, 0.0]], [-1.0, 1.0]),
+    (1e-300 * np.diag([1.0, -1.0]), [-1e-300, 1e-300]),
+])
+def test_eigvals_known_spectra(H, expected):
+    lam = hermitian_eigvals(H)
+    assert np.allclose(lam, expected, rtol=0.0, atol=4e-16 * np.abs(expected).max())
+
+
+def test_eigvals_input_contract():
+    for bad in (np.ones((2, 3)), np.zeros((0, 0)), np.ones((2, 2, 2)),
+                np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(LinalgError) as values_exc:
+            hermitian_eigvals(bad)
+        with pytest.raises(LinalgError) as vectors_exc:
+            hermitian_eigen(bad)
+        assert type(values_exc.value) is type(vectors_exc.value) is LinalgError
+        assert str(values_exc.value) == str(vectors_exc.value)
+    J = [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(NotHermitianError) as values_exc:
+        hermitian_eigvals(J)
+    with pytest.raises(NotHermitianError) as vectors_exc:
+        hermitian_eigen(J)
+    assert str(values_exc.value) == str(vectors_exc.value)
+    # Within the structural tolerance, the Hermitian part is solved.
+    near = np.array([[1.0, 2e-11], [0.0, 1.0]])
+    assert np.array_equal(hermitian_eigvals(near), hermitian_eigvals(0.5 * (near + near.T)))
+    # A finite loop: no sweep limit to reach, and tol.sweep does not apply.
+    H = random_hermitian(np.random.default_rng(5), 7)
+    assert np.array_equal(hermitian_eigvals(H, Tolerances(sweep=1.0)), hermitian_eigvals(H))
+
+
+def _count_solves(monkeypatch) -> dict:
+    """Counts of hermitian_eigen and hermitian_eigvals calls, patched in every
+    package module that binds them."""
+    from normalroots import cli, linalg, roots, theoremlab
+
+    calls = {"hermitian_eigen": 0, "hermitian_eigvals": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (linalg, roots, theoremlab, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _values_only_callers(tmp_path):
+    from normalroots import cli, roots, theoremlab
+
+    rng = np.random.default_rng(17)
+    H = random_hermitian(rng, 5)
+    U = random_unitary(rng, 4)
+    D = (U * np.array([0.5, 1.0, 2.0, 3.0])) @ U.conj().T  # positive definite
+    J = theoremlab.sample_nilpotent(4, seed=3)
+    return {
+        "operator_norm": lambda: operator_norm(random_dense(rng, 6)),
+        "classify": lambda: classify(H),
+        "sign_case": lambda: roots.sign_case(D),
+        "spectra_disjoint": lambda: theoremlab.spectra_disjoint(H, H + 10.0 * np.eye(5)),
+        "classify_root_of_selfadjoint": lambda: theoremlab.classify_root_of_selfadjoint(1j * D, -D @ D),
+        "check_zero_square": lambda: theoremlab.check_zero_square(J),
+        "normality_equivalence": lambda: theoremlab.normality_equivalence(D + 0.5j * H[:4, :4]),
+        "cli volterra": lambda: cli.main(["volterra", "--n", "12", "--json", str(tmp_path / "v.json")]),
+    }
+
+
+@pytest.mark.parametrize("caller, values", [
+    ("operator_norm", 1), ("classify", 1), ("sign_case", 1), ("spectra_disjoint", 2),
+    ("classify_root_of_selfadjoint", 2), ("check_zero_square", 2),
+    ("normality_equivalence", 2), ("cli volterra", 2),
+])
+def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller, values):
+    run = _values_only_callers(tmp_path)[caller]
+    calls = _count_solves(monkeypatch)
+    run()
+    assert calls == {"hermitian_eigen": 0, "hermitian_eigvals": values}
 
 
 # --- hermitian_eigen_batch --------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,23 +215,29 @@ def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative
     assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
+def _count_solves(monkeypatch) -> dict:
+    """Counts of the three eigensolvers' calls, patched in theoremlab and in
+    linalg so that solves made inside linalg are counted too."""
+    calls = {"serial": 0, "values": 0, "batch": 0}
+    for name, key in (("hermitian_eigen", "serial"), ("hermitian_eigvals", "values"),
+                      ("hermitian_eigen_batch", "batch")):
+        counted = _counted(calls, key, getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(theoremlab, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("skew, solves", [(False, 1), (True, 2)])
 def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
-    # One eigensolve per Cartesian part tested; the invertibility bound
-    # reuses the tested part's eigenvalues.  The library module is patched
-    # too so that solves made inside linalg are counted.
-    calls = {"serial": 0, "batch": 0}
-    serial = _counted(calls, "serial", linalg.hermitian_eigen)
-    monkeypatch.setattr(linalg, "hermitian_eigen", serial)
-    monkeypatch.setattr(theoremlab, "hermitian_eigen", serial)
-    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
-                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    # One values-only eigensolve per Cartesian part tested; the
+    # invertibility bound reuses the tested part's eigenvalues.
+    calls = _count_solves(monkeypatch)
     H = _with_spectrum(rng, rng.uniform(0.5, 2.0, 5))
     T = 1j * H if skew else H
     v = classify_root_of_selfadjoint(T, T @ T)
     assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
     assert v.violation is None
-    assert calls == {"serial": solves, "batch": 0}
+    assert calls == {"serial": 0, "values": solves, "batch": 0}
 
 
 def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
@@ -250,16 +257,12 @@ def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
 
 
 def test_classify_inconclusive_eigensolve_count(monkeypatch):
-    # One eigensolve per Cartesian part; no range test follows the gap tests.
-    calls = {"serial": 0, "batch": 0}
-    serial = _counted(calls, "serial", linalg.hermitian_eigen)
-    monkeypatch.setattr(linalg, "hermitian_eigen", serial)
-    monkeypatch.setattr(theoremlab, "hermitian_eigen", serial)
-    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
-                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+    # One values-only eigensolve per Cartesian part; no range test follows
+    # the gap tests.
+    calls = _count_solves(monkeypatch)
     v = classify_root_of_selfadjoint(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     assert v.case == "inconclusive"
-    assert calls == {"serial": 2, "batch": 0}
+    assert calls == {"serial": 0, "values": 2, "batch": 0}
 
 
 def test_classify_precondition():
@@ -718,6 +721,36 @@ def test_normality_equivalence_campaign(rng):
         rep = normality_equivalence(T)
         assert rep.applicable == "re"
         assert rep.violation is None
+
+
+@pytest.mark.parametrize("k", [0, 370, 530])
+def test_theorem_checks_at_large_scale_read_as_at_unit_scale(rng, k):
+    # 2^530 ~ 1e160: ||T||^2 and ||T||^3 overflow a float, the checks must
+    # not.  For ||T|| >= 1 the floors 1 + ||T||^j scale with T, so the
+    # verdicts are those at unit scale and the norms scale by 2^(jk).
+    def up(M):
+        return np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+
+    def times(x, j):  # x * 2^(jk), inf beyond the float range
+        with np.errstate(over="ignore"):
+            return tuple(np.ldexp(x, j * k)) if isinstance(x, tuple) else float(np.ldexp(x, j * k))
+
+    U = random_unitary(rng, 4)
+    T = random_dense(rng, 4) + 8.0 * np.eye(4)  # sign-definite real part
+    N = (U * np.array([2.0 + 1j, 3.0, 1.0 - 2j, 4.0 + 0.5j])) @ U.conj().T
+    J = sample_nilpotent(4, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (T, N):
+            base, scaled = normality_equivalence(M), normality_equivalence(up(M))
+            assert scaled.applicable == base.applicable == "re" and scaled.violation is None
+            assert (scaled.normal, scaled.commutes, scaled.agree) == (base.normal, base.commutes, base.agree)
+            assert scaled.commutation_residual == times(base.commutation_residual, 3)
+        assert commutator_identities(up(T)) == times(commutator_identities(T), 3)
+        z, zk = check_zero_square(J), check_zero_square(up(J))
+        assert zk.hypotheses == z.hypotheses and zk.violation is None
+        assert zk.square_norm == times(z.square_norm, 2)
+        assert zk.re_margins == times(z.re_margins, 1)
 
 
 # --- Volterra ----------------------------------------------------------------
