@@ -60,18 +60,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    """json.dump hook: complex as [re, im], arrays as nested lists, numpy
+    scalars as Python ones."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.tolist()
+    if isinstance(value, np.generic):
         return value.item()
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _load(path: str, inputs: dict) -> np.ndarray:
@@ -98,7 +96,8 @@ def _add_common(sub):
 
 
 def _tolerances(args) -> Tolerances:
-    """Tolerances from the flags; ValueError unless each is strictly positive."""
+    """Tolerances from the flags; ValueError unless each is finite and strictly
+    positive."""
     structural, residual = args.tol_structural, args.tol_residual
     return Tolerances(
         structural=DEFAULT_TOL.structural if structural is None else structural,
@@ -192,7 +191,7 @@ def _run_decompose(args, tol, inputs):
     flags = classify(M, tol)
     return EXIT_OK, {
         "dim": M.shape[0],
-        "flags": flags.to_dict(),
+        "flags": asdict(flags),
         "re_norm": fro(pair.re),
         "im_norm": fro(pair.im),
     }
@@ -245,9 +244,7 @@ def _run_classify(args, tol, inputs):
 def _run_zero_square(args, tol, inputs):
     T = _load(args.matrix, inputs)
     report = check_zero_square(T, tol)
-    results = asdict(report)
-    del results["system_residuals"]
-    return EXIT_VIOLATION if report.violation else EXIT_OK, results
+    return EXIT_VIOLATION if report.violation else EXIT_OK, asdict(report)
 
 
 def _run_range(args, tol, inputs):
@@ -368,16 +365,16 @@ def main(argv=None) -> int:
                 "residual": tol.residual,
                 "sweep": tol.sweep,
             },
-            "results": _jsonable(results),
+            "results": results,
             "exit_code": code,
             "wall_time_s": elapsed,
         }
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
+                json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
                 fh.write("\n")
         else:
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
+            json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_json_default)
             print()
     except (LinalgError, ConvergenceError, MatrixFormatError, OSError) as exc:
         print(f"normalroots: {exc}", file=sys.stderr)

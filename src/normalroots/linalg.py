@@ -49,7 +49,7 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +123,11 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("structural", "residual", "sweep"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"tolerance {name!r} must be strictly positive")
+            if value == math.inf:
+                raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -163,9 +166,6 @@ class MatrixFlags:
     nsd: bool
     unitary: bool
     zero: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def fro(M: np.ndarray):

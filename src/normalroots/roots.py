@@ -14,7 +14,7 @@ Three constructions, plus a spectral oracle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,8 +66,10 @@ class RootCertificate:
 
 
 def verify_root(root, target, order: int) -> RootCertificate:
-    """Recompute the certificate metrics for an externally supplied root.
+    """Certificate of root as an order-th root of target, with branch 0.
 
+    Every construction returns this certificate for its own root (nth_root
+    with its branch k put in); it serves an externally supplied root alike.
     Out-of-tolerance values are reported, never raised.
     """
     root = as_matrix(root, "root")
@@ -106,17 +108,6 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     )
 
 
-def _certify(root: np.ndarray, target: np.ndarray, order: int, branch: int) -> RootCertificate:
-    cert = verify_root(root, target, order)
-    return RootCertificate(
-        root=cert.root,
-        order=cert.order,
-        branch=branch,
-        power_residual=cert.power_residual,
-        normality_defect=cert.normality_defect,
-    )
-
-
 def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """Normal square root of a normal N whose imaginary part is sign-definite.
 
@@ -131,7 +122,7 @@ def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     A = psd_root(0.5 * (absn + parts.re), 2, tol)
     B = psd_root(0.5 * (absn - parts.re), 2, tol)
     root = A + 1j * B if case == "nonneg" else A - 1j * B
-    return _certify(root, N, 2, 0)
+    return verify_root(root, N, 2)
 
 
 def root_pow2n(N, n: int, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -147,7 +138,7 @@ def root_pow2n(N, n: int, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     current = N
     for _ in range(int(n)):
         current = sqrt_signdef(current, tol).root
-    return _certify(current, N, 2 ** int(n), 0)
+    return verify_root(current, N, 2 ** int(n))
 
 
 def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -168,7 +159,7 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     A = unitary_log(form.unitary, tol)
     shift = (A + 2.0 * np.pi * int(k) * np.eye(N.shape[0])) / int(n)
     root = psd_root(form.positive, int(n), tol) @ expi(shift, tol)
-    return _certify(root, N, int(n), int(k))
+    return replace(verify_root(root, N, n), branch=int(k))
 
 
 def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -181,4 +172,4 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """
     N = as_matrix(N, "N")
     mu, V = normal_eigen(N, tol)
-    return _certify(_spectral_map(V, np.sqrt(_branch_cut(mu, tol))), N, 2, 0)
+    return verify_root(_spectral_map(V, np.sqrt(_branch_cut(mu, tol))), N, 2)

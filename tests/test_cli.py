@@ -106,6 +106,18 @@ def test_cli_root_all_branches(tmp_path):
     assert all(c["power_residual"] <= 1e-9 for c in certs)
 
 
+def test_cli_root_out_holds_the_requested_branch(tmp_path):
+    from normalroots.roots import nth_root
+
+    N, _ = random_normal_signdef(np.random.default_rng(8), 3)
+    n_path = _write(tmp_path, "N.mat", N)
+    out = tmp_path / "R.mat"
+    assert main(["root", n_path, "--n", "3", "--k", "2", "--out", str(out)]) == 0
+    assert np.array_equal(load_matrix(out), nth_root(N, 3, 2).root)
+    assert main(["root", n_path, "--n", "3", "--all-branches", "--out", str(out)]) == 0
+    assert np.array_equal(load_matrix(out), nth_root(N, 3, 0).root)
+
+
 def test_cli_volterra_report(tmp_path):
     rpt = tmp_path / "r.json"
     assert main(["volterra", "--n", "64", "--json", str(rpt)]) == 0
@@ -239,7 +251,7 @@ def test_cli_tolerance_flags_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--tol-structural", "--tol-residual"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_cli_nonpositive_tolerance_exits_64(tmp_path, capsys, flag, value):
     n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
     assert main(["range", n_path, flag, value]) == 64
@@ -377,6 +389,26 @@ def test_cli_results_schema(tmp_path, argv, keys):
         assert set(results["flags"]) == {"hermitian", "normal", "psd", "nsd", "unitary", "zero"}
     if argv[0] == "root":
         assert [set(c) for c in results["certificates"]] == [_CERTIFICATE_KEYS] * 3
+
+
+def test_cli_json_encodes_complex_vectors_and_flags(tmp_path):
+    T = np.array([[1.0, 2.0], [0.5j, -1.0]])  # trace 0, so 0 is in W(T)
+    t_path = _write(tmp_path, "T.mat", T)
+    rpt = tmp_path / "r.json"
+    assert main(["range", t_path, "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert results["contains_zero"] is True
+    pairs = results["witness_vector"]
+    assert len(pairs) == 2
+    assert all(len(p) == 2 and all(type(v) is float for v in p) for p in pairs)
+    x = np.array([complex(re, im) for re, im in pairs])
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    assert abs(x.conj() @ T @ x) <= 1e-12 * np.linalg.norm(T, 2)
+
+    assert main(["decompose", t_path, "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert all(type(v) is bool for v in results["flags"].values())
+    assert type(results["dim"]) is int and type(results["re_norm"]) is float
 
 
 def test_cli_parser_is_built_once():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -395,6 +396,11 @@ def test_psd_root_via_eigen_oracle():
     assert np.allclose(psd_root(P, 2), expected, atol=1e-12)
 
 
+def test_psd_root_rejects_order_zero():
+    with pytest.raises(ValueError, match="positive integer"):
+        psd_root(np.eye(2), 0)
+
+
 def test_psd_root_rejects_indefinite():
     with pytest.raises(IndefiniteError):
         psd_root(np.diag([1.0, -1.0]), 2)
@@ -583,7 +589,7 @@ def test_classify_identity():
 
 def test_classify_jordan_block():
     f = classify([[0.0, 1.0], [0.0, 0.0]])
-    assert not any(f.to_dict().values())
+    assert not any(asdict(f).values())
 
 
 def test_classify_commuting_construction(rng):
@@ -601,3 +607,6 @@ def test_tolerances_validation():
         Tolerances(structural=0.0)
     with pytest.raises(ValueError):
         Tolerances(residual=-1.0)
+    for name in ("structural", "residual", "sweep"):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Tolerances(**{name: float("inf")})

@@ -115,6 +115,30 @@ def test_pow2n_rejects_bad_order():
 # --- nth_root ----------------------------------------------------------------
 
 
+def test_nth_root_rejects_non_integer_order_and_branch():
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        nth_root(np.eye(2), 2.0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        nth_root(np.eye(2), 0)
+    with pytest.raises(ValueError, match="branch k must be an integer"):
+        nth_root(np.eye(2), 2, 0.5)
+
+
+def test_constructions_return_the_verify_root_certificate(rng):
+    N, _ = random_normal_signdef(rng, 4, "nonneg")
+    certs = [
+        (sqrt_signdef(N), N, 2, 0),
+        (spectral_sqrt(N), N, 2, 0),
+        (root_pow2n(N, 2), N, 4, 0),
+        (nth_root(N, 3, 2), N, 3, 2),
+    ]
+    for cert, target, order, branch in certs:
+        ref = verify_root(cert.root, target, order)
+        assert (cert.order, cert.branch) == (order, branch)
+        assert cert.power_residual == ref.power_residual
+        assert cert.normality_defect == ref.normality_defect
+
+
 def test_nth_root_identity_branch():
     cert = nth_root(np.eye(2), 3, 1)
     assert np.allclose(cert.root, np.exp(2j * np.pi / 3) * np.eye(2), atol=1e-12)

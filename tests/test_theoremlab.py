@@ -303,6 +303,32 @@ def test_range_hermitian_straddles_zero():
     assert rc.witness_value <= 1e-10
 
 
+def test_range_witness_on_hermitian_input(rng):
+    U = random_unitary(rng, 4)
+    # Trace zero puts 0 between the extreme eigenvalues.
+    straddling = [random_hermitian(rng, n) for n in (2, 3, 5, 6)]
+    cases = [H - np.trace(H) / len(H) * np.eye(len(H)) for H in straddling] + [
+        (U * np.array([-1.0, 0.5, 1.0, 2.0])) @ U.conj().T,
+        np.diag([0.0, 1.0, 2.0]),  # an exact zero eigenvalue at the end
+        np.diag([-1.0, 0.0, 0.0, 2.0]),  # an exact zero eigenvalue inside
+        np.zeros((3, 3)),
+    ]
+    for M in cases:
+        rc = numerical_range_contains_zero(M)
+        x = rc.witness_vector
+        assert rc.contains_zero and x is not None
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+        assert abs(x.conj() @ M @ x) <= 1e-14 * np.linalg.norm(M, 2)
+        assert rc.witness_value <= 1e-14 * np.linalg.norm(M, 2)
+    # One-sided within the band: the witness is the nearer extreme eigenvector.
+    V = random_unitary(rng, 3)
+    for lam in ([1e-12, 1.0, 2.0], [-2.0, -1.0, -1e-12]):
+        M = (V * np.array(lam)) @ V.conj().T
+        rc = numerical_range_contains_zero(M)
+        assert rc.indeterminate and not rc.contains_zero
+        assert rc.witness_value <= rc.margin + 1e-14 * np.linalg.norm(M, 2)
+
+
 def test_range_jordan_block_disk():
     # W of the 2x2 Jordan block is the closed disk of radius 1/2 around 0
     rc = numerical_range_contains_zero(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -594,6 +620,16 @@ def test_zero_square_jordan_block():
     assert r.violation is None
 
 
+def test_zero_square_indeterminate_band():
+    # Re T and Im T have eigenvalues +-6e-10, between the band ~1e-10 and
+    # ten times it: no sign condition is decided, and ||T|| = 1.2e-9 is too
+    # large to count as zero.
+    r = check_zero_square(1.2e-9 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert set(r.hypotheses.values()) == {"indeterminate"}
+    assert not r.conclusion_zero
+    assert r.violation is None
+
+
 def test_zero_square_precondition():
     with pytest.raises(LinalgError):
         check_zero_square(np.eye(2))
@@ -612,9 +648,6 @@ def test_zero_square_sampled_campaign():
 
 
 def test_sample_nilpotent_canonical():
-    assert np.array_equal(
-        sample_nilpotent(2, canonical=True), np.array([[0.0, 1.0], [0.0, 0.0]])
-    )
     assert np.array_equal(sample_nilpotent(1, seed=5), np.zeros((1, 1)))
 
 
@@ -700,6 +733,19 @@ def test_normality_equivalence_selfadjoint_square_clause(rng):
     assert rep.applicable == "re"
     assert rep.selfadjoint_clause_checked
     assert rep.normal
+    assert rep.violation is None
+
+
+def test_normality_equivalence_im_part_applies():
+    # Re T indefinite, Im T positive definite: the Im-part dual is tested.
+    normal = np.diag([1.0, -1.0]) + 1j * np.diag([1.0, 2.0])
+    rep = normality_equivalence(normal)
+    assert rep.applicable == "im"
+    assert rep.normal and rep.commutes and rep.agree
+    nonnormal = np.array([[1.0 + 1j, 1.0], [0.0, -1.0 + 2j]])
+    rep = normality_equivalence(nonnormal)
+    assert rep.applicable == "im"
+    assert not rep.normal and not rep.commutes and rep.agree
     assert rep.violation is None
 
 
