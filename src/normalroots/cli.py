@@ -24,8 +24,10 @@ from .linalg import (
     ConvergenceError,
     LinalgError,
     Tolerances,
+    _JACOBI_TOL,
+    _ldexp,
     _unit_scale,
-    _unscale,
+    as_matrix,
     cartesian_parts,
     classify,
     fro,
@@ -33,7 +35,7 @@ from .linalg import (
     operator_norm,
 )
 from .matio import MatrixFormatError, load_matrix, save_matrix
-from .roots import nth_root, spectral_sqrt, sqrt_signdef, sign_case
+from .roots import _signdef_case_and_root, nth_root, spectral_sqrt
 from .theoremlab import (
     SylvesterProblem,
     check_zero_square,
@@ -91,19 +93,8 @@ def _certificate_dict(cert) -> dict:
 
 def _add_common(sub):
     sub.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    sub.add_argument("--tol-structural", type=float, default=None)
-    sub.add_argument("--tol-residual", type=float, default=None)
-
-
-def _tolerances(args) -> Tolerances:
-    """Tolerances from the flags; ValueError unless each is finite and strictly
-    positive."""
-    structural, residual = args.tol_structural, args.tol_residual
-    return Tolerances(
-        structural=DEFAULT_TOL.structural if structural is None else structural,
-        residual=DEFAULT_TOL.residual if residual is None else residual,
-        sweep=DEFAULT_TOL.sweep,
-    )
+    sub.add_argument("--tol-structural", type=float, default=DEFAULT_TOL.structural)
+    sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual)
 
 
 @functools.cache
@@ -120,15 +111,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out-im", metavar="PATH")
     _add_common(p)
 
-    p = subs.add_parser("sqrt", help="normal square root (sign-definite imaginary part)")
-    p.add_argument("matrix")
-    p.add_argument("--out", metavar="PATH")
-    _add_common(p)
-
-    p = subs.add_parser("spectral-sqrt", help="principal spectral square root")
-    p.add_argument("matrix")
-    p.add_argument("--out", metavar="PATH")
-    _add_common(p)
+    for name, text in (("sqrt", "normal square root (sign-definite imaginary part)"),
+                       ("spectral-sqrt", "principal spectral square root")):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("matrix")
+        p.add_argument("--out", metavar="PATH")
+        _add_common(p)
 
     p = subs.add_parser("root", help="nth root via the polar decomposition")
     p.add_argument("matrix")
@@ -203,8 +191,7 @@ def _run_sqrt(args, tol, inputs, spectral: bool):
         cert = spectral_sqrt(N, tol)
         results = _certificate_dict(cert)
     else:
-        case = sign_case(cartesian_parts(N, tol).im, tol)
-        cert = sqrt_signdef(N, tol)
+        case, cert = _signdef_case_and_root(N, tol)
         results = _certificate_dict(cert)
         results["sign_case"] = case
     if args.out:
@@ -235,8 +222,11 @@ def _run_sylvester(args, tol, inputs):
 
 
 def _run_classify(args, tol, inputs):
-    T = _load(args.matrix, inputs)
-    C = _load(args.target, inputs) if args.target else T @ T
+    T = as_matrix(_load(args.matrix, inputs), "T")
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _load(args.target, inputs) if args.target else T @ T
+    if not args.target and not np.isfinite(C).all():
+        raise LinalgError("default target T^2 overflows")
     verdict = classify_root_of_selfadjoint(T, C, tol)
     return EXIT_VIOLATION if verdict.violation else EXIT_OK, asdict(verdict)
 
@@ -260,9 +250,9 @@ def _run_commutators(args, tol, inputs):
     r1, r2 = commutator_identities(S, tol)
     bound = 1e-11 * (math.ldexp(1.0, -3 * e) + fro(S) ** 3)
     return EXIT_OK, {
-        "residual_bc_ad": _unscale(r1, 3 * e),
-        "residual_ac_bd": _unscale(r2, 3 * e),
-        "bound": _unscale(bound, 3 * e),
+        "residual_bc_ad": _ldexp(r1, 3 * e),
+        "residual_ac_bd": _ldexp(r2, 3 * e),
+        "bound": _ldexp(bound, 3 * e),
         "within_bound": bool(max(r1, r2) <= bound),
     }
 
@@ -346,7 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _tolerances(args)
+        tol = Tolerances(structural=args.tol_structural, residual=args.tol_residual)
     except ValueError as exc:
         print(f"normalroots: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -363,19 +353,18 @@ def main(argv=None) -> int:
             "tolerances": {
                 "structural": tol.structural,
                 "residual": tol.residual,
-                "sweep": tol.sweep,
+                "sweep": _JACOBI_TOL,
             },
             "results": results,
             "exit_code": code,
             "wall_time_s": elapsed,
         }
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-                fh.write("\n")
+                fh.write(text)
         else:
-            json.dump(report, sys.stdout, indent=2, sort_keys=True, default=_json_default)
-            print()
+            sys.stdout.write(text)
     except (LinalgError, ConvergenceError, MatrixFormatError, OSError) as exc:
         print(f"normalroots: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -33,7 +33,11 @@ Three Hermitian eigensolvers apply the same input checks (``as_matrix``,
   numerical-range test.  For one small matrix it is slower than the serial
   loop, so single solves stay serial.
 
-The two Jacobi solvers share one stopping rule, sweep * (1 + ||H||_F).
+Every power-of-two exponent in the package comes from ``_unit_scale``, and
+all three eigensolvers work on its exactly scaled matrix A, so 2^k H gives
+exactly 2^k times the eigenvalues of H.  The two Jacobi solvers stop once
+the off-diagonal norm of A is at most ``_JACOBI_TOL`` * ||A||_F, a relative
+rule with no absolute floor (Demmel & Veselic 1992).
 
 Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 ``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
@@ -114,19 +118,15 @@ class Tolerances:
 
     structural: Hermitian/normal/psd/unitary membership tests.
     residual:   reconstruction and root-power residuals.
-    sweep:      Jacobi off-diagonal termination threshold.
+    The Jacobi stop rule is relative and fixed (``_JACOBI_TOL``).
     """
 
     structural: float = 1e-10
     residual: float = 1e-9
-    sweep: float = 1e-13
 
     def __post_init__(self) -> None:
-        for name in ("structural", "residual", "sweep"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
-            if value == math.inf:
+        for name in ("structural", "residual"):
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
 
 
@@ -182,21 +182,17 @@ def fro(M: np.ndarray):
         overflow = np.isinf(norm).any()
     else:
         # The sum of squares np.linalg.norm takes, by vdot: the same bits,
-        # and no floating-point warning when it overflows.
+        # and no floating-point warning when it overflows (Python floats).
         x = M.ravel(order="K")
         if x.dtype.kind == "c":
             re, im = x.real, x.imag
-            norm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+            norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
         else:
             norm = math.sqrt(np.vdot(x, x))
         overflow = norm == math.inf
     if overflow and np.isfinite(M).all():
-        axes = (-2, -1) if M.ndim > 2 else None
-        peak = np.maximum(np.abs(M.real), np.abs(M.imag)).max(axis=axes, keepdims=True)
-        e = np.frexp(peak)[1]
-        scaled = np.linalg.norm(M * np.ldexp(1.0, -e), axis=axes)
-        norm = np.ldexp(scaled, e.reshape(np.shape(scaled)))
-        norm = norm if M.ndim > 2 else float(norm)
+        S, e = _unit_scale(M)
+        norm = _ldexp(np.linalg.norm(S, axis=(-2, -1)), e)
     return norm
 
 
@@ -218,23 +214,35 @@ def hermitian_defect(M: np.ndarray) -> float:
     return fro(M - _adj(M))
 
 
-def _unit_scale(M: np.ndarray, down_only: bool = False) -> tuple[np.ndarray, int]:
-    """(M / 2^e, e) for the power of two 2^e just above ||M||_F, with
-    |e| <= 1021 and, when down_only, e >= 0.
-
-    The scaling is exact: sums and products of the scaled matrix are those
-    of M times the matching power of two, rounding included, except where
-    M's own would overflow or underflow.  A floor such as 1 + ||M||^k
-    becomes 2^(-k e) + ||M / 2^e||^k, which down_only keeps finite.
-    """
-    e = min(max(math.frexp(fro(M))[1], 0 if down_only else -1021), 1021)
-    return M * math.ldexp(1.0, -e), e
-
-
-def _unscale(x: float, k: int) -> float:
-    """x * 2^k, inf where that overflows."""
+def _ldexp(M, e):
+    """M * 2^e, exact, for a real or complex array, or a float (returned as
+    a float); inf where it overflows, without a warning."""
     with np.errstate(over="ignore"):
-        return float(np.ldexp(x, k))
+        if np.iscomplexobj(M):
+            return np.ldexp(np.ascontiguousarray(M).view(float), e).view(complex)
+        return np.ldexp(M, e) if np.ndim(M) else float(np.ldexp(M, e))
+
+
+def _unit_scale(M: np.ndarray, step: int = 1, down_only: bool = False):
+    """(M / 2^e, e), 2^e the power of two just above the largest |Re| or |Im|
+    entry of M (e = 0 for zero), or the largest multiple of step at or below
+    it, so that M / 2^e peaks at 1/2 or more and a root of order step scales
+    back by 2^(e / step); e = 0 where M / 2^e would reach 2^511 (step > 511
+    on tiny M), and e >= 0 if down_only.  A stack (..., n, n) gets an
+    integer array, one exponent per member.
+
+    The scaling is exact: sums and products of M / 2^e are those of M times
+    a power of two, rounding included, except where M's own would overflow
+    or underflow, and 2^k M gets exponent e + k.  A floor 1 + ||M||^k reads
+    2^(-k e) + ||M / 2^e||^k, which down_only keeps finite.
+    """
+    M = np.asarray(M)
+    peak = np.maximum(np.abs(M.real), np.abs(M.imag)).max(axis=(-2, -1))
+    top = np.frexp(peak)[1]
+    e = np.where(top % step < 512, top - top % step, 0)
+    if down_only:
+        e = np.maximum(e, 0)
+    return _ldexp(M, -e[..., None, None]), e if M.ndim > 2 else int(e)
 
 
 def _normality(M: np.ndarray) -> tuple[float, float]:
@@ -245,7 +253,7 @@ def _normality(M: np.ndarray) -> tuple[float, float]:
     """
     S, e = _unit_scale(np.asarray(M, dtype=complex), down_only=True)
     gap = fro(_adj(S) @ S - S @ _adj(S))
-    return _unscale(gap, 2 * e), gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
+    return _ldexp(gap, 2 * e), gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
 
 
 def normality_defect(M: np.ndarray) -> float:
@@ -304,29 +312,30 @@ def _offdiag_norm(A: np.ndarray) -> float:
     return fro(A - np.diag(np.diag(A)))
 
 
-def hermitian_eigen(
-    H, tol: Tolerances = DEFAULT_TOL, max_sweeps: int = 64
-) -> HermitianEigen:
+# Jacobi's relative stopping threshold, and its sweep limit.
+_JACOBI_TOL = 1e-13
+_MAX_SWEEPS = 64
+
+
+def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     """Full eigendecomposition of a complex Hermitian matrix.
 
-    Cyclic Jacobi rotations; each rotation zeroes one off-diagonal entry via a
-    phased plane rotation.  Terminates when the off-diagonal Frobenius norm
-    drops below sweep * (1 + ||H||_F).  Eigenvalues returned ascending with
-    columns of the unitary factor permuted to match.
+    Cyclic Jacobi rotations on A = H / 2^e (``_unit_scale``); each rotation
+    zeroes one off-diagonal entry via a phased plane rotation.  Terminates
+    when the off-diagonal Frobenius norm drops below _JACOBI_TOL * ||A||_F.
+    Eigenvalues returned ascending, times 2^e, with columns of the unitary
+    factor permuted to match; ConvergenceError reports norms in H's units.
     """
     H = as_matrix(H, "H")
-    A = require_hermitian(H, tol, "H").copy()
+    A, e = _unit_scale(require_hermitian(H, tol, "H"))
     n = A.shape[0]
     V = np.eye(n, dtype=complex)
-    scale = 1.0 + fro(A)
-    threshold = tol.sweep * scale
+    threshold = _JACOBI_TOL * fro(A)
     # Rotations on entries this small cannot push the off-diagonal mass
     # above threshold/4, so skipping them is safe and speeds the last sweeps.
     skip = threshold / (4.0 * n)
-    converged = n == 1
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if _offdiag_norm(A) <= threshold:
-            converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -356,13 +365,12 @@ def hermitian_eigen(
                 V[:, q] = s * u * Vp + c * Vq
     else:
         off = _offdiag_norm(A)
-        converged = off <= threshold
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not converge in {max_sweeps} sweeps: "
-            f"off-diagonal norm {off:.3e} > threshold {threshold:.3e}"
-        )
-    lam = np.diag(A).real.copy()
+        if off > threshold:
+            raise ConvergenceError(
+                f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: off-diagonal norm "
+                f"{_ldexp(off, e):.3e} > threshold {_ldexp(threshold, e):.3e}"
+            )
+    lam = _ldexp(np.diag(A).real, e)
     order = np.argsort(lam, kind="stable")
     return HermitianEigen(eigenvalues=lam[order], vectors=V[:, order])
 
@@ -389,18 +397,17 @@ def _round_robin(n: int) -> list:
     return rounds
 
 
-def hermitian_eigen_batch(
-    H, tol: Tolerances = DEFAULT_TOL, max_sweeps: int = 64
-) -> HermitianEigen:
+def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecompositions of a stack of complex Hermitian matrices (B, n, n).
 
     Round-robin Jacobi (Brent & Luk 1985): each round rotates n/2 disjoint
     pairs of every member at once.  The angle solves the same zeroing
     condition as ``hermitian_eigen`` but is taken with |theta| <= pi/4,
     because the larger serial angle stalls under a parallel ordering.  Each
-    member has its own Hermitian test, threshold sweep * (1 + ||H_b||_F) and
-    skip rule, and stops rotating once its off-diagonal norm is below its
-    threshold.  Returns eigenvalues (B, n), ascending per member, and
+    member has its own Hermitian test, exponent (``_unit_scale``), threshold
+    _JACOBI_TOL * ||A_b||_F on the normalised A_b and skip rule, and stops
+    rotating once its off-diagonal norm is below its threshold.  Returns
+    eigenvalues (B, n), ascending per member and scaled back exactly, and
     vectors (B, n, n) with columns permuted to match.
     """
     A = np.asarray(H, dtype=complex)
@@ -417,14 +424,14 @@ def hermitian_eigen_batch(
         raise NotHermitianError(
             f"H[{bad[0]}] is not Hermitian: defect {defect[bad[0]]:.3e}"
         )
-    A = 0.5 * (A + adj)
+    A, e = _unit_scale(0.5 * (A + adj))
     n = A.shape[1]
     V = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
-    threshold = tol.sweep * (1.0 + fro(A))
+    threshold = _JACOBI_TOL * fro(A)
     skip = threshold / (4.0 * n)
     offdiag = ~np.eye(n, dtype=bool)
     rounds = _round_robin(n) if n > 1 else []
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         active = np.flatnonzero(fro(A * offdiag) > threshold)
         if active.size == 0:
             break
@@ -457,13 +464,14 @@ def hermitian_eigen_batch(
         A[active], V[active] = Ab, Vb
     else:
         off = fro(A * offdiag)
-        worst = int(np.argmax(off / threshold))
+        worst = int(np.argmax(off - threshold))
         if off[worst] > threshold[worst]:
             raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps: member {worst} "
-                f"off-diagonal norm {off[worst]:.3e} > threshold {threshold[worst]:.3e}"
+                f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: member {worst} "
+                f"off-diagonal norm {_ldexp(off[worst], e[worst]):.3e} > "
+                f"threshold {_ldexp(threshold[worst], e[worst]):.3e}"
             )
-    lam = np.diagonal(A, axis1=1, axis2=2).real
+    lam = _ldexp(np.diagonal(A, axis1=1, axis2=2).real, e[:, None])
     order = np.argsort(lam, axis=1, kind="stable")
     return HermitianEigen(
         eigenvalues=np.take_along_axis(lam, order, axis=1),
@@ -570,27 +578,23 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, ascending, without vectors.
 
     Same input checks, and so the same LinalgError / NotHermitianError, as
-    ``hermitian_eigen``.  The matrix is scaled by an exact power of two to
-    entries below 1 in modulus, reduced to real symmetric tridiagonal form by
-    Householder reflections (``_tridiagonal``, real arithmetic for real
-    input), bisected on Sturm counts (``_sturm_bisect``) and scaled back.  The
-    error is a small multiple of n * eps * ||H||_2, and 2^k H gives exactly
-    2^k times the values of H.  The loop counts are fixed by n, so this never
-    raises ConvergenceError, and tol.sweep does not apply.
+    ``hermitian_eigen``.  The matrix is normalised (``_unit_scale``), reduced
+    to real symmetric tridiagonal form by Householder reflections
+    (``_tridiagonal``, real arithmetic for real input), bisected on Sturm
+    counts (``_sturm_bisect``) and scaled back.  The error is a small
+    multiple of n * eps * ||H||_2, and 2^k H gives exactly 2^k times the
+    values of H.  The loop counts are fixed by n, so this never raises
+    ConvergenceError.
     """
     H = as_matrix(H, "H")
-    A = require_hermitian(H, tol, "H")
+    A, e = _unit_scale(require_hermitian(H, tol, "H"))
     n = A.shape[0]
-    peak = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max())
-    if peak == 0.0:
+    if not A.any():
         return np.zeros(n)
-    e = math.frexp(peak)[1]
-    A = np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e)
     if not A.imag.any():
         A = A.real
     d, off = _tridiagonal(A)
-    lam = d if n == 1 else _sturm_bisect(d, off)
-    return np.ldexp(lam, e)
+    return _ldexp(d if n == 1 else _sturm_bisect(d, off), e)
 
 
 def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -623,17 +627,11 @@ def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """|T| = psd square root of T*T.
-
-    Where T*T would overflow or underflow (||T||_F outside [2^-500, 2^500])
-    it is taken as 2^e |T / 2^e| (``_unit_scale``).  Inputs in that range
-    are not scaled: the Jacobi stop rule sweep * (1 + ||G||_F) has an
-    absolute floor, so a unit-norm G would come out less accurate.
-    """
-    T = as_matrix(T, "T")
-    S, e = (T, 0) if 2.0 ** -500 <= fro(T) <= 2.0 ** 500 else _unit_scale(T)
+    """|T| = psd square root of T*T, taken as 2^e |T / 2^e| (``_unit_scale``)
+    so that T*T neither overflows nor underflows."""
+    S, e = _unit_scale(as_matrix(T, "T"))
     G = _adj(S) @ S
-    return psd_root(0.5 * (G + _adj(G)), 2, tol) * math.ldexp(1.0, e)
+    return _ldexp(psd_root(0.5 * (G + _adj(G)), 2, tol), e)
 
 
 def _clusters(values: np.ndarray, gap: float) -> list:
@@ -722,7 +720,7 @@ def operator_norm(M, tol: Tolerances = DEFAULT_TOL) -> float:
     S, e = _unit_scale(as_matrix(M, "M"))
     G = _adj(S) @ S
     lam_max = float(hermitian_eigvals(0.5 * (G + _adj(G)), tol)[-1])
-    return _unscale(math.sqrt(max(lam_max, 0.0)), e)
+    return _ldexp(math.sqrt(max(lam_max, 0.0)), e)
 
 
 def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:

@@ -23,7 +23,9 @@ from .linalg import (
     IndefiniteError,
     Tolerances,
     _branch_cut,
+    _ldexp,
     _spectral_map,
+    _unit_scale,
     abs_op,
     as_matrix,
     cartesian_parts,
@@ -112,17 +114,24 @@ def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """Normal square root of a normal N whose imaginary part is sign-definite.
 
     With C = Re N, A = ((|N|+C)/2)^{1/2}, B = ((|N|-C)/2)^{1/2}, the root is
-    A + iB when Im N >= 0 and A - iB when Im N <= 0.
+    A + iB when Im N >= 0 and A - iB when Im N <= 0, all taken on
+    N / 4^j (``linalg._unit_scale``) and scaled back by 2^j.
     """
+    return _signdef_case_and_root(N, tol)[1]
+
+
+def _signdef_case_and_root(N, tol: Tolerances) -> tuple[str, RootCertificate]:
+    """``sqrt_signdef``'s certificate and the sign case its normalised N took."""
     N = as_matrix(N, "N")
-    require_normal(N, tol, "N")
-    parts = cartesian_parts(N, tol)
+    S, e = _unit_scale(N, step=2)
+    require_normal(S, tol, "N")
+    parts = cartesian_parts(S, tol)
     case = sign_case(parts.im, tol)
-    absn = abs_op(N, tol)
+    absn = abs_op(S, tol)
     A = psd_root(0.5 * (absn + parts.re), 2, tol)
     B = psd_root(0.5 * (absn - parts.re), 2, tol)
     root = A + 1j * B if case == "nonneg" else A - 1j * B
-    return verify_root(root, N, 2)
+    return case, verify_root(_ldexp(root, e // 2), N, 2)
 
 
 def root_pow2n(N, n: int, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -148,18 +157,20 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     with spectrum in (-pi, pi].  On the branch cut arg = +pi: an eigenvalue
     of N on the negative real axis (to within rounding) gives e^{i pi/n} on
     branch 0, as ``spectral_sqrt`` does for n = 2.  Any integer k is
-    accepted; k and k + n give the same root up to rounding.
+    accepted; k and k + n give the same root up to rounding.  The root of
+    N / 2^(nj) (``linalg._unit_scale``) is scaled back by 2^j.
     """
     N = as_matrix(N, "N")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("n must be a positive integer")
     if not isinstance(k, (int, np.integer)):
         raise ValueError("branch k must be an integer")
-    form = polar_normal(N, tol)
+    S, e = _unit_scale(N, step=int(n))
+    form = polar_normal(S, tol)
     A = unitary_log(form.unitary, tol)
     shift = (A + 2.0 * np.pi * int(k) * np.eye(N.shape[0])) / int(n)
     root = psd_root(form.positive, int(n), tol) @ expi(shift, tol)
-    return replace(verify_root(root, N, n), branch=int(k))
+    return replace(verify_root(_ldexp(root, e // int(n)), N, n), branch=int(k))
 
 
 def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -168,8 +179,10 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     Eigenvalue-wise sqrt with arg of the result in (-pi/2, pi/2]; the branch
     cut rule (``linalg._branch_cut``) puts eigenvalues within
     structural * (1 + |mu|) of the negative real axis on it, and sends them
-    to +i sqrt|mu|.
+    to +i sqrt|mu|.  It is taken on N / 4^j and scaled back by 2^j.
     """
     N = as_matrix(N, "N")
-    mu, V = normal_eigen(N, tol)
-    return verify_root(_spectral_map(V, np.sqrt(_branch_cut(mu, tol))), N, 2)
+    S, e = _unit_scale(N, step=2)
+    mu, V = normal_eigen(S, tol)
+    root = _spectral_map(V, np.sqrt(_branch_cut(mu, tol)))
+    return verify_root(_ldexp(root, e // 2), N, 2)

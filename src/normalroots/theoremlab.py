@@ -25,8 +25,8 @@ from .linalg import (
     LinalgError,
     Tolerances,
     _normality,
+    _ldexp,
     _unit_scale,
-    _unscale,
     as_matrix,
     cartesian_parts,
     expi,
@@ -315,9 +315,9 @@ def numerical_range_contains_zero(M, tol: Tolerances = DEFAULT_TOL) -> RangeCert
     """Decide 0 in W(M) using convexity of the numerical range.
 
     0 is outside W(M) iff some angle theta gives lambda_min(Re(e^{i theta} M))
-    > 0 (Johnson 1978).  The test runs on M / 2^e, 2^e the power of two just
-    above M's largest entry, and scales margin and witness_value back, so
-    every 2^k M gets the same verdicts, angles and vectors.  Hermitian input
+    > 0 (Johnson 1978).  The test runs on M / 2^e (``linalg._unit_scale``)
+    and scales margin and witness_value back, so every 2^k M gets the same
+    verdicts, angles and vectors.  Hermitian input
     short-circuits to the interval test on the spectrum.  Margins within the
     band of zero are flagged indeterminate rather than trusted.
 
@@ -328,12 +328,11 @@ def numerical_range_contains_zero(M, tol: Tolerances = DEFAULT_TOL) -> RangeCert
     support points.  A search stopped by its caps is indeterminate unless
     that witness puts 0 within the band of W(M).
     """
-    M = as_matrix(M, "M")
-    e = int(np.frexp(np.maximum(np.abs(M.real), np.abs(M.imag)).max())[1])
-    rc = _range_test(np.ldexp(M.real, -e) + 1j * np.ldexp(M.imag, -e), tol)
+    S, e = _unit_scale(as_matrix(M, "M"))
+    rc = _range_test(S, tol)
     value = rc.witness_value
-    return replace(rc, margin=float(np.ldexp(rc.margin, e)),
-                   witness_value=None if value is None else float(np.ldexp(value, e)))
+    return replace(rc, margin=_ldexp(rc.margin, e),
+                   witness_value=None if value is None else _ldexp(value, e))
 
 
 def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
@@ -512,7 +511,7 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     square = fro(S @ S)
     if square > tol.residual * (math.ldexp(1.0, -2 * e) + fro(S) ** 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
-    square_norm = _unscale(square, 2 * e)
+    square_norm = _ldexp(square, 2 * e)
     parts = cartesian_parts(S, tol)
     la = np.ldexp(hermitian_eigvals(parts.re, tol), e)
     lb = np.ldexp(hermitian_eigvals(parts.im, tol), e)
@@ -588,8 +587,8 @@ def commutator_identities(T, tol: Tolerances = DEFAULT_TOL) -> tuple[float, floa
         return X @ Y - Y @ X
 
     return (
-        _unscale(fro(comm(C, B) - comm(A, D)), 3 * e),
-        _unscale(fro(comm(A, C) - comm(B, D)), 3 * e),
+        _ldexp(fro(comm(C, B) - comm(A, D)), 3 * e),
+        _ldexp(fro(comm(A, C) - comm(B, D)), 3 * e),
     )
 
 
@@ -667,7 +666,7 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
         tol.structural < scaled_defect <= INDETERMINATE_FACTOR * tol.structural
         or thr_c < scaled_cres <= INDETERMINATE_FACTOR * thr_c
     )
-    cres = _unscale(scaled_cres, 3 * e)
+    cres = _ldexp(scaled_cres, 3 * e)
     agree = None if in_band else (normal == commutes)
     violation = None
     if agree is False:

@@ -502,3 +502,42 @@ def test_cli_sqrt_and_decompose_at_1e160(tmp_path, capsys):
         flags = _read_report(rpt)["results"]["flags"]
         assert flags["normal"] and not flags["unitary"] and not flags["hermitian"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k", [-40, -498])
+def test_cli_sqrt_reports_the_sign_case_it_used_at_small_scale(tmp_path, capsys, k):
+    # The case comes from the normalised input the construction uses; the
+    # band of the unscaled imaginary part would call this input nonneg.
+    N, _ = random_normal_signdef(np.random.default_rng(7), 4, "nonpos")
+    Nk = np.ldexp(N.real, k) + 1j * np.ldexp(N.imag, k)
+    n_path = _write(tmp_path, "N.mat", Nk)
+    out = tmp_path / "T.mat"
+    rpt = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sqrt", n_path, "--out", str(out), "--json", str(rpt)]) == 0
+    assert _read_report(rpt)["results"]["sign_case"] == "nonpos"
+    T = load_matrix(out)
+    T = np.ldexp(T.real, -(k // 2)) + 1j * np.ldexp(T.imag, -(k // 2))
+    assert fro(T @ T - N) <= 1e-12 * fro(N)
+    assert np.all(np.linalg.eigvals(T).imag <= 1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_classify_default_target_overflow_exits_1(tmp_path):
+    # T^2 of diag(1e160, 2e160) overflows: one line on stderr, no warning.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    t_path = _write(tmp_path, "T.mat", np.diag([1e160, 2e160]).astype(complex))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "normalroots.cli", "classify", t_path],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "normalroots: default target T^2 overflows\n"

@@ -144,6 +144,8 @@ def test_fro_overflow_prints_no_warning():
         assert fro(M) == pytest.approx(np.sqrt(18.0) * 1e200, rel=1e-15)
         assert fro(M.real) == pytest.approx(3e200, rel=1e-15)
         assert np.allclose(fro(np.stack([M, M.T])), fro(M), rtol=1e-15)
+        # Each part's sum of squares is finite; only their sum overflows.
+        assert fro(np.array([[1e154 + 1e154j]])) == pytest.approx(np.sqrt(2.0) * 1e154, rel=1e-15)
 
 
 def test_fro_matches_numpy_bit_for_bit(rng):
@@ -175,12 +177,16 @@ def test_eigen_large_scale():
     assert np.allclose(b.eigenvalues, [[1e200, 3e200]], rtol=1e-12, atol=0.0)
 
 
-def test_eigen_convergence_error_reports_state():
+def test_eigen_convergence_error_reports_state(monkeypatch):
+    from normalroots import linalg
+
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
     H = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
+    # The norms are reported in the units of H, not of the normalised H / 4.
     with pytest.raises(ConvergenceError, match=r"in 0 sweeps: off-diagonal norm 2\.\d+e\+00"):
-        hermitian_eigen(H, max_sweeps=0)
+        hermitian_eigen(H)
     with pytest.raises(ConvergenceError, match=r"in 0 sweeps: member 1 off-diagonal norm"):
-        hermitian_eigen_batch(np.stack([np.eye(3), H]), max_sweeps=0)
+        hermitian_eigen_batch(np.stack([np.eye(3), H]))
 
 
 # --- hermitian_eigvals -------------------------------------------------------
@@ -219,15 +225,54 @@ def test_eigvals_matches_lapack(seed, n, kind, log_scale):
     assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _as_stack_solver(solve):
+    def stacked(H):
+        eig = solve(np.asarray(H)[None])
+        return type(eig)(eigenvalues=eig.eigenvalues[0], vectors=eig.vectors[0])
+
+    return stacked
+
+
+@pytest.mark.parametrize("solve", [
+    hermitian_eigvals, hermitian_eigen, _as_stack_solver(hermitian_eigen_batch),
+], ids=["hermitian_eigvals", "hermitian_eigen", "hermitian_eigen_batch"])
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(-600, 600), st.booleans())
-def test_eigvals_bitwise_equivariant_under_powers_of_two(seed, n, k, real):
+def test_eigvals_bitwise_equivariant_under_powers_of_two(solve, seed, n, k, real):
+    # Every solver works on H / 2^e and scales the values back: 2^k H gives
+    # exactly 2^k times the values of H, and the Jacobi engines the same vectors.
     rng = np.random.default_rng(seed)
     H = random_hermitian(rng, n)
     if real:
         H = H.real
     Hk = np.ldexp(H.real, k) + 1j * np.ldexp(H.imag, k)
-    assert np.array_equal(hermitian_eigvals(Hk), np.ldexp(hermitian_eigvals(H), k))
+    got, ref = solve(Hk), solve(H)
+    if solve is hermitian_eigvals:
+        assert np.array_equal(got, np.ldexp(ref, k))
+    else:
+        assert np.array_equal(got.eigenvalues, np.ldexp(ref.eigenvalues, k))
+        assert np.array_equal(got.vectors, ref.vectors)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-300, 2.0 ** -1060])
+def test_jacobi_stop_rule_is_relative(scale):
+    # An absolute floor in the stop rule would accept the input as already
+    # diagonal and return [2, 2] * scale.
+    H = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+    expected = scale * np.array([1.0, 3.0])
+    assert np.allclose(hermitian_eigen(H).eigenvalues, expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(hermitian_eigen_batch(H[None]).eigenvalues, [expected],
+                       rtol=1e-14, atol=0.0)
+
+
+def test_jacobi_zero_matrix_converges_at_once():
+    # The relative threshold is 0 on the zero matrix, which is diagonal.
+    eig = hermitian_eigen(np.zeros((3, 3)))
+    assert np.array_equal(eig.eigenvalues, np.zeros(3))
+    assert np.array_equal(eig.vectors, np.eye(3))
+    batch = hermitian_eigen_batch(np.stack([np.zeros((3, 3)), np.diag([3.0, 1.0, 2.0])]))
+    assert np.array_equal(batch.eigenvalues, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert np.array_equal(batch.vectors[0], np.eye(3))
 
 
 @pytest.mark.parametrize("H, expected", [
@@ -262,9 +307,6 @@ def test_eigvals_input_contract():
     # Within the structural tolerance, the Hermitian part is solved.
     near = np.array([[1.0, 2e-11], [0.0, 1.0]])
     assert np.array_equal(hermitian_eigvals(near), hermitian_eigvals(0.5 * (near + near.T)))
-    # A finite loop: no sweep limit to reach, and tol.sweep does not apply.
-    H = random_hermitian(np.random.default_rng(5), 7)
-    assert np.array_equal(hermitian_eigvals(H, Tolerances(sweep=1.0)), hermitian_eigvals(H))
 
 
 def _count_solves(monkeypatch) -> dict:
@@ -607,6 +649,6 @@ def test_tolerances_validation():
         Tolerances(structural=0.0)
     with pytest.raises(ValueError):
         Tolerances(residual=-1.0)
-    for name in ("structural", "residual", "sweep"):
+    for name in ("structural", "residual"):
         with pytest.raises(ValueError, match="strictly positive"):
             Tolerances(**{name: float("inf")})

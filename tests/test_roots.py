@@ -139,6 +139,47 @@ def test_constructions_return_the_verify_root_certificate(rng):
         assert cert.normality_defect == ref.normality_defect
 
 
+def _ldexp(M, k):
+    return np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(2, 5), st.integers(-960, 960))
+def test_roots_exactly_equivariant_under_powers_of_two(seed, d, n, shift):
+    # 4^k N (2^(nk) N for an nth root) gives exactly 2^k times the root of
+    # N, for k across the float range: each construction works on N / 2^e.
+    rng = np.random.default_rng(seed)
+    N, _ = random_normal_signdef(rng, d, ("nonneg", "nonpos")[seed % 2])
+    for construct, order in ((sqrt_signdef, 2), (spectral_sqrt, 2),
+                             (lambda M: nth_root(M, n, seed % n), n)):
+        k = shift // order
+        ref = construct(N).root
+        assert np.array_equal(construct(_ldexp(N, order * k)).root, _ldexp(ref, k))
+
+
+@pytest.mark.parametrize("k", [-498, -166, -40, 40, 498])
+def test_roots_correct_at_every_scale(rng, k):
+    # Each root, scaled back, is checked against N itself: a relative error,
+    # which the absolute floor of a certificate would not show at 2^-498.
+    N, _ = random_normal_signdef(rng, 4, "nonpos")
+    Nk = _ldexp(N, 2 * (k // 2))
+    for cert in (sqrt_signdef(Nk), spectral_sqrt(Nk), nth_root(Nk, 2)):
+        T = _ldexp(cert.root, -(k // 2))
+        assert fro(T @ T - N) <= 1e-12 * fro(N)
+    T = _ldexp(root_pow2n(_ldexp(N, 8 * (k // 8)), 3).root, -(k // 8))
+    assert fro(np.linalg.matrix_power(T, 8) - N) <= 1e-12 * fro(N)
+
+
+def test_nth_root_of_high_order_keeps_the_input_normalised():
+    # The exponent is a multiple of n at or below N's, so N / 2^e never
+    # drops under the absolute floors (here 2^-35 would turn every phase to 1).
+    N = -(2.0**35) * np.eye(2)
+    T = nth_root(N, 70).root
+    assert fro(np.linalg.matrix_power(T, 70) - N) <= 1e-12 * fro(N)
+    with pytest.raises(NotNormalError):
+        nth_root(2.0**35 * np.array([[0.0, 1.0], [0.0, 0.0]]), 70)
+
+
 def test_nth_root_identity_branch():
     cert = nth_root(np.eye(2), 3, 1)
     assert np.allclose(cert.root, np.exp(2j * np.pi / 3) * np.eye(2), atol=1e-12)
