@@ -11,13 +11,14 @@ Three Hermitian eigensolvers apply the same input checks (``as_matrix``,
 ``require_hermitian``):
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
-  tridiagonalization, then Sturm-count bisection of every index at once.  It
-  serves every caller that discards the vectors: ``operator_norm`` (and the
-  CLI ``volterra`` command), the psd/nsd flags of ``classify``,
+  tridiagonalization, then implicit QL on Python floats.  It serves every
+  caller that discards the vectors: ``operator_norm`` (and the CLI
+  ``volterra`` command), the psd/nsd flags of ``classify``,
   ``roots.sign_case``, and in the theorem lab ``spectra_disjoint``, the gap
   test of ``classify_root_of_selfadjoint``, ``check_zero_square`` and
-  ``normality_equivalence``.  Its cost is O(n^3) in a few numpy calls per
-  row, against O(n^2) Python-level rotations per Jacobi sweep.
+  ``normality_equivalence``.  The reduction is O(n^3) in a few numpy calls
+  per row; QL takes about two O(n) iterations per eigenvalue, data-dependent
+  and capped (ConvergenceError), against O(n^2) rotations per Jacobi sweep.
 - ``hermitian_eigen`` runs cyclic Jacobi on one matrix and returns the
   vectors too.  Every construction that needs an eigenbasis of one matrix
   goes through it: ``psd_root``, ``normal_eigen``, ``expi`` and the
@@ -109,7 +110,7 @@ class IndefiniteError(LinalgError):
 
 
 class ConvergenceError(RuntimeError):
-    """The Jacobi sweep limit was reached; input is numerically pathological."""
+    """A Jacobi sweep limit or the QL iteration cap was reached on pathological input."""
 
 
 @dataclass(frozen=True)
@@ -181,10 +182,14 @@ def fro(M: np.ndarray):
             norm = np.linalg.norm(M, axis=(-2, -1))
         overflow = np.isinf(norm).any()
     else:
-        # The sum of squares np.linalg.norm takes, by vdot: the same bits,
-        # and no floating-point warning when it overflows (Python floats).
+        # vdot takes np.linalg.norm's sum of squares, bit for bit; past
+        # 10 000 entries OpenBLAS threads it (a stall of milliseconds under
+        # load), so einsum takes it.  Neither warns on overflow.
         x = M.ravel(order="K")
-        if x.dtype.kind == "c":
+        if x.size > 10_000:
+            v = x.view(x.real.dtype) if x.dtype.kind == "c" else x
+            norm = math.sqrt(np.einsum("i,i->", v, v))
+        elif x.dtype.kind == "c":
             re, im = x.real, x.imag
             norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
         else:
@@ -517,61 +522,11 @@ def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-# Sturm counts per bisection step: about this many points in all, and at
-# least two per eigenvalue index.
-_STURM_POINTS = 256
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-
-
-def _sturm_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal (d, e), n >= 2,
-    each to within eps times the Gershgorin bound on the spectrum (Barth,
-    Martin & Wilkinson 1967).
-
-    The number of eigenvalues below x is the number of negative pivots
-    q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} of the LDL* factorization of
-    T - xI, counted for all points x at once.  A zero pivot is taken as +0:
-    IEEE division makes the next pivot -inf, and the one after that
-    (d - x) + 0, the limit of a tiny positive pivot.  For that, -0.0 is
-    cleared from d, and e^2 is floored at the smallest normal number (a
-    change far below one ulp of the bound), so no 0/0 arises at a split.
-
-    Every index starts on the Gershgorin interval.  Each step counts K
-    interior points per index (one shared grid in the first step) and keeps
-    the subinterval where the count crosses the index, so the widths shrink
-    by K + 1 per step and the number of steps is fixed by n in advance.
-    """
-    n = d.shape[0]
-    d = d + 0.0
-    e2 = np.maximum(e * e, _TINY)
-    radius = np.zeros(n)
-    radius[:-1] += e
-    radius[1:] += e
-    bound = float(np.max(np.abs(d) + radius))
-    slack = 2.0 * n * _EPS * bound
-    gl, gu = float(np.min(d - radius)) - slack, float(np.max(d + radius)) + slack
-    K = max(2, _STURM_POINTS // n)
-    first = n * K
-    steps = 1 + max(0, math.ceil(math.log((gu - gl) / ((first + 1) * 2.0 * _EPS * bound),
-                                          K + 1)))
-    lo, hi = np.full(n, gl), np.full(n, gu)
-    index = np.arange(n)[:, None]
-    fractions = np.arange(1, K + 1) / (K + 1)
-    x = gl + (gu - gl) * (np.arange(1, first + 1) / (first + 1))[None, :]
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(steps):
-            negative = np.empty((n,) + x.shape, dtype=bool)
-            q = d[0] - x
-            np.less(q, 0.0, out=negative[0])
-            for i in range(1, n):
-                q = (d[i] - x) - e2[i - 1] / q
-                np.less(q, 0.0, out=negative[i])
-            below = negative.sum(axis=0) <= index  # lambda_index > x
-            lo = np.maximum(lo, np.where(below, x, -np.inf).max(axis=1))
-            hi = np.minimum(hi, np.where(below, np.inf, x).min(axis=1))
-            x = lo[:, None] + (hi - lo)[:, None] * fractions
-    return np.sort(0.5 * (lo + hi))
+# LAPACK's cap on QL iterations per eigenvalue (dsteqr's MAXIT), and the
+# constants of its deflation test.
+_QL_MAX_ITER = 30
+_EPS2 = (0.5 * float(np.finfo(float).eps)) ** 2
+_SAFMIN = float(np.finfo(float).tiny)
 
 
 def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -579,22 +534,60 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Same input checks, and so the same LinalgError / NotHermitianError, as
     ``hermitian_eigen``.  The matrix is normalised (``_unit_scale``), reduced
-    to real symmetric tridiagonal form by Householder reflections
-    (``_tridiagonal``, real arithmetic for real input), bisected on Sturm
-    counts (``_sturm_bisect``) and scaled back.  The error is a small
-    multiple of n * eps * ||H||_2, and 2^k H gives exactly 2^k times the
-    values of H.  The loop counts are fixed by n, so this never raises
-    ConvergenceError.
+    to a real symmetric tridiagonal (d, off) by Householder reflections
+    (``_tridiagonal``, real arithmetic for real input), solved by implicit QL
+    with Wilkinson shifts on Python floats (Bowdler, Martin, Reinsch &
+    Wilkinson 1968; LAPACK's dsteqr without vectors) and scaled back.  off_m
+    is dropped once off_m^2 <= eps^2 |d_m| |d_m+1| + safmin; the safmin term
+    also deflates a zero-diagonal block with a tiny off-diagonal and keeps
+    the shift finite.  The error is a small multiple of n * eps * ||H||_2,
+    and 2^k H gives exactly 2^k times the values of H.  The number of QL
+    iterations depends on the data; past _QL_MAX_ITER per eigenvalue,
+    ConvergenceError reports norms in H's units.
     """
     H = as_matrix(H, "H")
     A, e = _unit_scale(require_hermitian(H, tol, "H"))
-    n = A.shape[0]
-    if not A.any():
-        return np.zeros(n)
     if not A.imag.any():
         A = A.real
-    d, off = _tridiagonal(A)
-    return _ldexp(d if n == 1 else _sturm_bisect(d, off), e)
+    d, off = (x.tolist() for x in _tridiagonal(A))
+    n = len(d)
+    off.append(0.0)
+    budget = _QL_MAX_ITER * n
+    for top in range(n):
+        while True:
+            m = top
+            while m < n - 1 and off[m] * off[m] > _EPS2 * abs(d[m]) * abs(d[m + 1]) + _SAFMIN:
+                m += 1
+            if m == top:
+                break
+            if budget == 0:
+                raise ConvergenceError(
+                    f"QL did not converge in {_QL_MAX_ITER * n} iterations: off-diagonal "
+                    f"norm {_ldexp(math.hypot(*off), e):.3e}, diagonal norm "
+                    f"{_ldexp(math.hypot(*d), e):.3e}"
+                )
+            budget -= 1
+            # Wilkinson shift from the top 2x2, then chase the bulge upward.
+            p = d[top]
+            g = (d[top + 1] - p) / (2.0 * off[top])
+            g = d[m] - p + off[top] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, top - 1, -1):
+                f = s * off[i]
+                b = c * off[i]
+                r = math.hypot(f, g)
+                c, s = (g / r, f / r) if r else (1.0, 0.0)
+                off[i + 1] = r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[top] -= p
+            off[top] = g
+            off[m] = 0.0
+    return _ldexp(np.array(sorted(d)), e)
 
 
 def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:

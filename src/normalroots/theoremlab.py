@@ -409,20 +409,26 @@ def classify_root_of_selfadjoint(
     The range hypotheses 0 not in W(Re T) / W(Im T) are implied: for a
     Hermitian part H, a margin lambda_min > structural * (1 + ||H||_F) gives
     spec(H) and spec(-H) a gap 2 lambda_min that passes the disjointness test.
+
+    Products are taken on T / 2^e and C / 2^(2e) (``linalg._unit_scale``) and
+    scaled back exactly; a non-finite residual fails the precondition.
     """
     T = as_matrix(T, "T")
     C = as_matrix(C, "C")
     if T.shape != C.shape:
         raise LinalgError("T and C must share one square dimension")
     require_hermitian(C, tol, "C")
-    if fro(T @ T - C) > tol.residual * (1.0 + fro(C)):
+    S, e = _unit_scale(T, down_only=True)
+    D = _ldexp(C, -2 * e)
+    if not fro(S @ S - D) <= tol.residual * (math.ldexp(1.0, -2 * e) + fro(D)):
         raise LinalgError("precondition T^2 = C fails beyond residual tolerance")
-    parts = cartesian_parts(T, tol)
-    A, B = parts.re, parts.im
+    parts = cartesian_parts(S, tol)
+    As, Bs = parts.re, parts.im
     sys_res = (
-        fro(A @ A - B @ B - C),
-        fro(A @ B + B @ A),
+        _ldexp(fro(As @ As - Bs @ Bs - D), 2 * e),
+        _ldexp(fro(As @ Bs + Bs @ As), 2 * e),
     )
+    A, B = _ldexp(As, e), _ldexp(Bs, e)
     scale = 1.0 + fro(T)
     small = tol.residual * scale
     inv_band = tol.structural * scale

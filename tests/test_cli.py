@@ -541,3 +541,25 @@ def test_cli_classify_default_target_overflow_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "normalroots: default target T^2 overflows\n"
+
+
+def test_cli_classify_overflowing_square_exits_1(tmp_path):
+    # T^2 = diag(1e320, 4e320) is not the target diag(1e300, 4e300); the
+    # precondition is checked on T / 2^e, with no overflow and no warning.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    t_path = _write(tmp_path, "T.mat", np.diag([1e160, 2e160]).astype(complex))
+    c_path = _write(tmp_path, "C.mat", np.diag([1e300, 4e300]).astype(complex))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "normalroots.cli", "classify",
+         t_path, "--target", c_path],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "normalroots: precondition T^2 = C fails beyond residual tolerance\n"

@@ -157,6 +157,23 @@ def test_fro_matches_numpy_bit_for_bit(rng):
             assert fro(X) == float(np.linalg.norm(X))
 
 
+def test_fro_long_sum_of_squares_bypasses_blas(monkeypatch, rng):
+    # Past 10 000 entries OpenBLAS threads vdot, so fro sums by einsum:
+    # no BLAS call, a rounding-level match, and no warning on overflow.
+    def threaded_dot(*args):
+        raise AssertionError("fro handed a long sum of squares to BLAS")
+
+    M = random_dense(rng, 128)
+    refs = [float(np.linalg.norm(X)) for X in (M, M.conj().T, M.real)]
+    monkeypatch.setattr(np, "vdot", threaded_dot)
+    for X, ref in zip((M, M.conj().T, M.real), refs):
+        assert fro(X) == pytest.approx(ref, rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = np.full((101, 101), 1e200 + 1e200j)
+        assert fro(big) == pytest.approx(np.sqrt(2.0) * 101 * 1e200, rel=1e-14)
+
+
 @pytest.mark.parametrize("scale, jordan_defect", [
     (1e-200, 0.0), (1.0, np.sqrt(0.5)), (1e160, np.sqrt(2.0)), (1e300, np.sqrt(2.0)),
 ])
@@ -287,6 +304,72 @@ def test_jacobi_zero_matrix_converges_at_once():
 def test_eigvals_known_spectra(H, expected):
     lam = hermitian_eigvals(H)
     assert np.allclose(lam, expected, rtol=0.0, atol=4e-16 * np.abs(expected).max())
+
+
+def _tridiag(d, e):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _wilkinson21():
+    return _tridiag(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+
+
+def _glued_wilkinson():
+    W = _wilkinson21()
+    G = np.zeros((42, 42))
+    G[:21, :21] = G[21:, 21:] = W
+    G[20, 21] = G[21, 20] = 1e-8
+    return G
+
+
+def _split_in_middle():
+    e = np.ones(9)
+    e[4] = 0.0
+    return _tridiag(np.arange(10.0), e)
+
+
+@pytest.mark.parametrize("H", [
+    _wilkinson21(),  # W21+: pairs of eigenvalues agreeing to ~1e-14
+    _glued_wilkinson(),
+    _tridiag(np.zeros(64), np.ones(63)),  # path graph: a zero diagonal
+    _tridiag(10.0 ** -np.arange(12.0), 10.0 ** -np.arange(0.5, 11.5)),
+    _tridiag(10.0 ** -np.arange(11.0, -1.0, -1.0), 10.0 ** -np.arange(10.5, -0.5, -1.0)),
+    _split_in_middle(),
+    [[1.0, 1e-310], [1e-310, 2.0]],  # off-diagonal subnormal after normalisation
+    np.diag([1.0, 0.0, 0.0, 0.0]) + 1e-170 * _tridiag(np.zeros(4), [0.0, 1.0, 1.0]),
+], ids=["wilkinson21", "glued_wilkinson21", "path64", "graded_down", "graded_up",
+        "split", "subnormal_offdiag", "tiny_zero_diagonal_block"])
+def test_eigvals_ql_hard_tridiagonals(H):
+    lam = hermitian_eigvals(H)
+    ref = np.linalg.eigvalsh(H)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_eigvals_path_graph_closed_form():
+    n = 64
+    lam = hermitian_eigvals(_tridiag(np.zeros(n), np.ones(n - 1)))
+    exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    assert np.abs(lam - exact).max() <= 1e-13 * 2.0
+
+
+def test_eigvals_convergence_error_reports_state(monkeypatch):
+    from normalroots import linalg
+
+    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 0)
+    H = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 3.0]])
+    # The norms are reported in the units of H, not of the normalised H / 4:
+    # off-diagonal sqrt(2^2 + 0.5^2), diagonal sqrt(1 + 1 + 3^2).
+    with pytest.raises(ConvergenceError, match=r"QL did not converge in 0 iterations: "
+                       r"off-diagonal norm 2\.062e\+00, diagonal norm 3\.317e\+00"):
+        hermitian_eigvals(H)
+    # A diagonal matrix needs no iteration, and neither does a zero-diagonal
+    # block whose off-diagonal squares to less than the safe minimum.
+    assert np.array_equal(hermitian_eigvals(np.diag([3.0, 1.0])), [1.0, 3.0])
+    tiny = np.diag([1.0, 0.0, 0.0])
+    tiny[1, 2] = tiny[2, 1] = 1e-160
+    assert np.array_equal(hermitian_eigvals(tiny), [0.0, 0.0, 1.0])
 
 
 def test_eigvals_input_contract():

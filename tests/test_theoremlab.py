@@ -270,6 +270,32 @@ def test_classify_precondition():
         classify_root_of_selfadjoint(np.eye(2), 2.0 * np.eye(2))
 
 
+def test_classify_precondition_does_not_overflow():
+    # T^2 = diag(1e320, 4e320) overflows unscaled, and inf * 0 in the complex
+    # product gave nan, which passed the residual test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinalgError, match="precondition T\\^2 = C fails"):
+            classify_root_of_selfadjoint(np.diag([1e160, 2e160]), np.diag([1e300, 4e300]))
+
+
+def test_classify_verdict_is_exact_under_powers_of_two(rng):
+    # Products are taken on T / 2^e and C / 2^(2e), so 2^500 T and 2^1000 C
+    # get the verdict of T and C, with residuals scaled exactly.
+    for T in (np.diag([1.0, 2.0]), random_psd(rng, 4) + np.eye(4)):
+        C = T @ T
+        C = 0.5 * (C + C.conj().T)
+        ref = classify_root_of_selfadjoint(T, C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = classify_root_of_selfadjoint(np.ldexp(T.real, 500) + 1j * np.ldexp(T.imag, 500),
+                                               np.ldexp(C.real, 1000) + 1j * np.ldexp(C.imag, 1000))
+        assert (big.case, big.evidence, big.violation) == (ref.case, ref.evidence, ref.violation)
+        assert ref.case == "selfadjoint_invertible" and ref.violation is None
+        assert big.residual == np.ldexp(ref.residual, 500)
+        assert big.system_residuals == tuple(np.ldexp(ref.system_residuals, 1000))
+
+
 def test_classify_shape_mismatch_is_linalg_error():
     with pytest.raises(LinalgError, match="T and C must share one square dimension"):
         classify_root_of_selfadjoint(np.eye(3), np.eye(2))
