@@ -171,7 +171,7 @@ def build_parser() -> _Parser:
 
 def _run_decompose(args, tol, inputs):
     M = _load(args.matrix, inputs)
-    pair = cartesian_parts(M, tol)
+    pair = cartesian_parts(M)
     if args.out_re:
         save_matrix(args.out_re, pair.re)
     if args.out_im:
@@ -247,7 +247,7 @@ def _run_commutators(args, tol, inputs):
     # Residuals and the bound 1e-11 (1 + ||T||^3) are compared on T / 2^e,
     # where neither overflows, and reported scaled back by 2^(3e).
     S, e = _unit_scale(T, down_only=True)
-    r1, r2 = commutator_identities(S, tol)
+    r1, r2 = commutator_identities(S)
     bound = 1e-11 * (math.ldexp(1.0, -3 * e) + fro(S) ** 3)
     return EXIT_OK, {
         "residual_bc_ad": _ldexp(r1, 3 * e),
@@ -261,7 +261,7 @@ def _run_volterra(args, tol, inputs):
     if args.n < 1:
         raise LinalgError("--n must be a positive integer")
     V = volterra_matrix(args.n)
-    re_part = cartesian_parts(V, tol).re
+    re_part = cartesian_parts(V).re
     lam_min = float(hermitian_eigvals(re_part, tol)[0])
     return EXIT_OK, {
         "n": args.n,

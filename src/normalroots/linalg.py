@@ -7,8 +7,8 @@ normal matrices by simultaneous diagonalization of the Cartesian parts, psd
 nth roots, polar decomposition of normal matrices, and the unitary
 exponential/logarithm pair with the principal branch fixed to (-pi, pi].
 
-Three Hermitian eigensolvers apply the same input checks (``as_matrix``,
-``require_hermitian``):
+Callers pass matrices Hermitian within tolerance; all three Hermitian
+eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``:
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
   tridiagonalization, then implicit QL on Python floats.  It serves every
@@ -45,10 +45,10 @@ Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 a spectrum, f(N) = V f(mu) V*, through one helper, ``_spectral_map``, which
 also makes the result Hermitian when f is real.  The two that depend on the
 argument of an eigenvalue, ``unitary_log`` and ``roots.spectral_sqrt``,
-share one branch-cut rule, ``_branch_cut``: an eigenvalue within
-structural * (1 + |mu|) of the real axis is put on it (imaginary part +0),
-so a negative real eigenvalue has arg = +pi whichever side rounding left it
-on.
+share one branch-cut rule, ``_branch_cut``: an eigenvalue with Re mu < 0
+within structural * |mu| + 16 n eps max|mu| of the real axis is put on it
+(imaginary part +0), so a negative real eigenvalue has arg = +pi whichever
+side rounding left it on.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.n
     return M
 
 
-def cartesian_parts(T, tol: Tolerances = DEFAULT_TOL) -> CartesianPair:
+def cartesian_parts(T) -> CartesianPair:
     """Split T into Hermitian re/im parts: re = (T+T*)/2, im = (T-T*)/(2i)."""
     T = as_matrix(T, "T")
     re = 0.5 * (T + _adj(T))
@@ -597,9 +597,12 @@ def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """mu with entries within structural * (1 + |mu|) of the real axis put on it."""
-    snap = tol.structural * (1.0 + np.abs(mu))
-    return np.where(np.abs(mu.imag) <= snap, mu.real.astype(complex), mu)
+    """mu with entries left of 0 within structural * |mu| + 16 n eps max|mu|
+    of the real axis put on it (imaginary part +0); the floor covers
+    eigenvalue noise, which is absolute (about eps ||N||)."""
+    mods = np.abs(mu)
+    snap = tol.structural * mods + 16 * len(mu) * np.finfo(float).eps * mods.max()
+    return np.where((mu.real < 0) & (np.abs(mu.imag) <= snap), mu.real.astype(complex), mu)
 
 
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -623,8 +626,7 @@ def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """|T| = psd square root of T*T, taken as 2^e |T / 2^e| (``_unit_scale``)
     so that T*T neither overflows nor underflows."""
     S, e = _unit_scale(as_matrix(T, "T"))
-    G = _adj(S) @ S
-    return _ldexp(psd_root(0.5 * (G + _adj(G)), 2, tol), e)
+    return _ldexp(psd_root(_adj(S) @ S, 2, tol), e)
 
 
 def _clusters(values: np.ndarray, gap: float) -> list:
@@ -652,7 +654,7 @@ def normal_eigen(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     """
     N = as_matrix(N, "N")
     require_normal(N, tol, "N")
-    parts = cartesian_parts(N, tol)
+    parts = cartesian_parts(N)
     eig = hermitian_eigen(parts.re, tol)
     lam, V = eig.eigenvalues, eig.vectors.copy()
     n = N.shape[0]
@@ -662,9 +664,7 @@ def normal_eigen(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     for lo, hi in _clusters(lam, gap):
         if hi - lo < 2:
             continue
-        block = B[lo:hi, lo:hi]
-        block = 0.5 * (block + _adj(block))
-        sub = hermitian_eigen(block, tol)
+        sub = hermitian_eigen(B[lo:hi, lo:hi], tol)
         V[:, lo:hi] = V[:, lo:hi] @ sub.vectors
     mu = np.diag(_adj(V) @ N @ V).copy()
     return mu, V
@@ -681,9 +681,9 @@ def unitary_log(U, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian A with e^{iA} = U, eigenvalues of A in the principal
     branch (-pi, pi].
 
-    Branch cut: an eigenvalue of U within 2 * structural of the real axis
-    counts as real, so -1 (and anything rounding left just below it) maps
-    to +pi, never -pi.
+    Branch cut (``_branch_cut``): an eigenvalue of U left of 0 within
+    structural + 16 n eps of the real axis counts as real, so -1 (and
+    anything rounding left just below it) maps to +pi, never -pi.
     """
     U = as_matrix(U, "U")
     if not _is_unitary(U, tol):
@@ -711,8 +711,7 @@ def operator_norm(M, tol: Tolerances = DEFAULT_TOL) -> float:
     """Spectral norm sqrt(lambda_max(M* M)), taken as 2^e ||M / 2^e||_2
     (``_unit_scale``) so that M* M neither overflows nor underflows."""
     S, e = _unit_scale(as_matrix(M, "M"))
-    G = _adj(S) @ S
-    lam_max = float(hermitian_eigvals(0.5 * (G + _adj(G)), tol)[-1])
+    lam_max = float(hermitian_eigvals(_adj(S) @ S, tol)[-1])
     return _ldexp(math.sqrt(max(lam_max, 0.0)), e)
 
 
@@ -724,7 +723,7 @@ def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:
     normal = is_normal(M, tol)
     psd = nsd = False
     if herm:
-        lam = hermitian_eigvals(0.5 * (M + _adj(M)), tol)
+        lam = hermitian_eigvals(M, tol)
         band = tol.structural * (1.0 + norm)
         psd = float(lam[0]) >= -band
         nsd = float(lam[-1]) <= band

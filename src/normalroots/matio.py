@@ -1,39 +1,20 @@
 """Text matrix files.
 
 Format: the first line holds the dimension; each of the next dim lines holds
-dim entries.  An entry is a "re im" pair of decimal reals separated by a
-single space; entries are separated by two or more spaces or a tab.  Values
-are written with 17 significant digits so save/load round-trips doubles
-exactly.
+2 * dim whitespace-separated decimal reals, re and im of each entry in turn.
+The writer separates entries by two spaces and writes 17 significant digits,
+so save/load round-trips doubles exactly.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
 __all__ = ["MatrixFormatError", "parse_matrix", "format_matrix", "load_matrix", "save_matrix"]
 
-_ENTRY_SEP = re.compile(r"\t+| {2,}")
-
 
 class MatrixFormatError(ValueError):
     """Malformed matrix file; message carries line/column diagnostics."""
-
-
-def _parse_entry(token: str, line_no: int, col: int) -> complex:
-    parts = token.split()
-    if len(parts) != 2:
-        raise MatrixFormatError(
-            f"line {line_no}, entry {col}: expected 're im' pair, got {token!r}"
-        )
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise MatrixFormatError(
-            f"line {line_no}, entry {col}: unparseable number in {token!r}"
-        ) from exc
 
 
 def parse_matrix(text: str, name: str = "<string>") -> np.ndarray:
@@ -55,20 +36,21 @@ def parse_matrix(text: str, name: str = "<string>") -> np.ndarray:
         )
     M = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
-        line_no = i + 2
-        row = lines[i + 1].strip()
-        tokens = [t for t in _ENTRY_SEP.split(row) if t.strip()]
-        if len(tokens) != dim:
-            # Lenient fallback: a row of 2*dim whitespace-separated numbers.
-            flat = row.split()
-            if len(flat) == 2 * dim:
-                tokens = [f"{flat[2 * j]} {flat[2 * j + 1]}" for j in range(dim)]
-            else:
+        numbers = lines[i + 1].split()
+        if len(numbers) != 2 * dim:
+            raise MatrixFormatError(
+                f"{name}: line {i + 2}: expected {dim} entries ({2 * dim} numbers), "
+                f"found {len(numbers)}"
+            )
+        for j in range(dim):
+            pair = numbers[2 * j:2 * j + 2]
+            try:
+                M[i, j] = complex(float(pair[0]), float(pair[1]))
+            except ValueError as exc:
                 raise MatrixFormatError(
-                    f"{name}: line {line_no}: expected {dim} entries, found {len(tokens)}"
-                )
-        for j, token in enumerate(tokens):
-            M[i, j] = _parse_entry(token, line_no, j + 1)
+                    f"{name}: line {i + 2}, entry {j + 1}: unparseable number in "
+                    f"{' '.join(pair)!r}"
+                ) from exc
     return M
 
 

@@ -125,7 +125,7 @@ def _signdef_case_and_root(N, tol: Tolerances) -> tuple[str, RootCertificate]:
     N = as_matrix(N, "N")
     S, e = _unit_scale(N, step=2)
     require_normal(S, tol, "N")
-    parts = cartesian_parts(S, tol)
+    parts = cartesian_parts(S)
     case = sign_case(parts.im, tol)
     absn = abs_op(S, tol)
     A = psd_root(0.5 * (absn + parts.re), 2, tol)
@@ -177,9 +177,9 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """Square root by the principal scalar branch on the spectrum.
 
     Eigenvalue-wise sqrt with arg of the result in (-pi/2, pi/2]; the branch
-    cut rule (``linalg._branch_cut``) puts eigenvalues within
-    structural * (1 + |mu|) of the negative real axis on it, and sends them
-    to +i sqrt|mu|.  It is taken on N / 4^j and scaled back by 2^j.
+    cut rule (``linalg._branch_cut``) puts eigenvalues left of 0 within
+    structural * |mu| + 16 n eps max|mu| of the real axis on it, and sends
+    them to +i sqrt|mu|.  It is taken on N / 4^j and scaled back by 2^j.
     """
     N = as_matrix(N, "N")
     S, e = _unit_scale(N, step=2)

@@ -94,7 +94,7 @@ def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
 
 
 def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve a @ X - X @ b = s; dimension capped at 32 on both paths.
+    """Solve a @ X - X @ b = s; dimension capped at 32 on the Kronecker path.
 
     Hermitian a and b (both pass is_hermitian): one stacked eigensolve
     a = Va diag(lam) Va*, b = Vb diag(mu) Vb* serves the gap check and the
@@ -102,8 +102,8 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     Stewart 1972), followed by one step of iterative refinement on the
     residual s - (a X - X b) of the original a and b.
 
-    Any other input: the n^2 x n^2 system (I kron a - b^T kron I) vec X =
-    vec s is solved with partial-pivoting elimination.
+    Any other input, up to n = 32: the n^2 x n^2 system (I kron a - b^T kron
+    I) vec X = vec s is solved with partial-pivoting elimination.
 
     Intersecting spectra (gap within structural * (1 + |a|_F + |b|_F) on the
     Hermitian path), a singular system, or a final residual above
@@ -115,8 +115,6 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     n = a.shape[0]
     if b.shape != a.shape or s.shape != a.shape:
         raise LinalgError("a, b, s must share one square dimension")
-    if n > SYLVESTER_MAX_DIM:
-        raise LinalgError(f"dense Sylvester solve capped at dim {SYLVESTER_MAX_DIM}")
     if is_hermitian(a, tol) and is_hermitian(b, tol):
         eig = hermitian_eigen_batch(np.stack([a, b]), tol)
         (la, lb), (Va, Vb) = eig.eigenvalues, eig.vectors
@@ -133,6 +131,8 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
         X = closed_form(s)
         X = X + closed_form(s - (a @ X - X @ b))
     else:
+        if n > SYLVESTER_MAX_DIM:
+            raise LinalgError(f"dense Sylvester solve capped at dim {SYLVESTER_MAX_DIM}")
         eye = np.eye(n)
         K = np.kron(eye, a) - np.kron(b.T, eye)
         try:
@@ -339,7 +339,7 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
     band = tol.structural * (1.0 + fro(M))
 
     if is_hermitian(M, tol):
-        eig = hermitian_eigen(0.5 * (M + M.conj().T), tol)
+        eig = hermitian_eigen(M, tol)
         lo, hi = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
         margin = max(lo, -hi)  # distance by which the interval avoids 0
         if margin > band:
@@ -363,8 +363,8 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
             True, -val, witness_vector=np.ones(1, dtype=complex), witness_value=val
         )
 
-    A = 0.5 * (M + M.conj().T)
-    B = (M - M.conj().T) / 2j
+    parts = cartesian_parts(M)
+    A, B = parts.re, parts.im
     thetas, X, decided, best_theta, best_margin = _best_angle(A, B, band, tol)
     if best_margin > band:
         return RangeCertificate(False, best_margin, witness_angle=best_theta % (2 * np.pi))
@@ -422,7 +422,7 @@ def classify_root_of_selfadjoint(
     D = _ldexp(C, -2 * e)
     if not fro(S @ S - D) <= tol.residual * (math.ldexp(1.0, -2 * e) + fro(D)):
         raise LinalgError("precondition T^2 = C fails beyond residual tolerance")
-    parts = cartesian_parts(S, tol)
+    parts = cartesian_parts(S)
     As, Bs = parts.re, parts.im
     sys_res = (
         _ldexp(fro(As @ As - Bs @ Bs - D), 2 * e),
@@ -518,7 +518,7 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     if square > tol.residual * (math.ldexp(1.0, -2 * e) + fro(S) ** 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
     square_norm = _ldexp(square, 2 * e)
-    parts = cartesian_parts(S, tol)
+    parts = cartesian_parts(S)
     la = np.ldexp(hermitian_eigvals(parts.re, tol), e)
     lb = np.ldexp(hermitian_eigvals(parts.im, tol), e)
     re_margins = (float(la[0]), float(la[-1]))
@@ -573,7 +573,7 @@ def sample_nilpotent(dim: int, seed: int = 0) -> np.ndarray:
     return Q @ base @ Q.conj().T
 
 
-def commutator_identities(T, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+def commutator_identities(T) -> tuple[float, float]:
     """Residuals of [C, B] = [A, D] and [A, C] = [B, D] where (A, B) are the
     Cartesian parts of T and (C, D) those of T^2.  Both vanish identically:
     expanding T^2 gives C = A^2 - B^2 and D = AB + BA, and substituting
@@ -585,8 +585,8 @@ def commutator_identities(T, tol: Tolerances = DEFAULT_TOL) -> tuple[float, floa
     residuals scaled back by 2^(3e), so no product overflows; a residual
     beyond the float range reads inf."""
     S, e = _unit_scale(as_matrix(T, "T"), down_only=True)
-    ab = cartesian_parts(S, tol)
-    cd = cartesian_parts(S @ S, tol)
+    ab = cartesian_parts(S)
+    cd = cartesian_parts(S @ S)
     A, B, C, D = ab.re, ab.im, cd.re, cd.im
 
     def comm(X, Y):
@@ -637,10 +637,10 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     """
     T = as_matrix(T, "T")
     M, e = _unit_scale(T, down_only=True)
-    parts = cartesian_parts(M, tol)
+    parts = cartesian_parts(M)
     A, B = parts.re, parts.im
     S = M @ M
-    D = cartesian_parts(S, tol).im
+    D = cartesian_parts(S).im
     band = tol.structural * (math.ldexp(1.0, -e) + fro(M))
     la = hermitian_eigvals(A, tol)
     lb = hermitian_eigvals(B, tol)

@@ -53,6 +53,34 @@ def test_parse_wrong_entry_count():
         parse_matrix("2\n1 0  0 0  1 0\n0 0  1 0\n")
 
 
+def test_parse_single_spaces_and_tabs():
+    # A row is 2 * dim numbers in any whitespace, paired re/im in order.
+    assert np.array_equal(parse_matrix("2\n1 0 0 0\n0 0 1 0\n"), np.eye(2))
+    assert np.array_equal(parse_matrix("2\n1\t0\t0\t-1\n0\t1\t3.5\t0\n"),
+                          [[1, -1j], [1j, 3.5]])
+
+
+def test_parse_pairs_may_straddle_two_space_gaps():
+    assert np.array_equal(parse_matrix("2\n1 0 0  0\n0  0 1 0\n"), np.eye(2))
+
+
+def test_parse_extra_number_names_line_and_entries():
+    with pytest.raises(MatrixFormatError, match=r"line 3: expected 2 entries \(4 numbers\), found 5"):
+        parse_matrix("2\n1 0  0 0\n0 0  1 0  7\n")
+
+
+def test_parse_non_number_names_line_and_entry():
+    with pytest.raises(MatrixFormatError, match=r"line 3, entry 2: unparseable number in '1 x'"):
+        parse_matrix("2\n1 0  0 0\n0 0  1 x\n")
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_format_parse_roundtrip_d1_d8(dim):
+    rng = np.random.default_rng(dim)
+    M = np.pi * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    assert np.array_equal(parse_matrix(format_matrix(M)), M)
+
+
 def test_format_parse_roundtrip_exact():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -147,6 +175,19 @@ def test_cli_precondition_failure_exits_1(tmp_path):
     # sqrt of a non-normal matrix
     n_path = _write(tmp_path, "J.mat", np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert main(["sqrt", n_path]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["root", "N.mat", "--n", "0"],
+    ["volterra", "--n", "0"],
+    ["nilpotent-search", "--trials", "0"],
+    ["nilpotent-search", "--dim", "0"],
+])
+def test_cli_nonpositive_count_exits_1(tmp_path, capsys, argv):
+    path = _write(tmp_path, "N.mat", np.eye(2))
+    assert main([path if a == "N.mat" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be" in err and "Traceback" not in err
 
 
 def test_cli_corrupted_fixture_exits_1(tmp_path):

@@ -271,6 +271,30 @@ def test_eigvals_bitwise_equivariant_under_powers_of_two(solve, seed, n, k, real
         assert np.array_equal(got.vectors, ref.vectors)
 
 
+@pytest.mark.parametrize("solve", [
+    hermitian_eigvals, hermitian_eigen, _as_stack_solver(hermitian_eigen_batch),
+], ids=["hermitian_eigvals", "hermitian_eigen", "hermitian_eigen_batch"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10), st.booleans())
+def test_eigensolvers_symmetrise_their_input(solve, seed, n, real):
+    # Callers pass matrices that are Hermitian only within tolerance and do
+    # not symmetrise them: each solver returns on H + E, E anti-Hermitian,
+    # exactly what it returns on (1/2)((H + E) + (H + E)*).
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n)
+    if real:
+        H = H.real
+    E = random_dense(rng, n)
+    E = 1e-14 * fro(H) / max(fro(E - E.conj().T), 1e-300) * (E - E.conj().T)
+    near = H + E
+    got, ref = solve(near), solve(0.5 * (near + near.conj().T))
+    if solve is hermitian_eigvals:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.vectors, ref.vectors)
+
+
 @pytest.mark.parametrize("scale", [1e-20, 1e-300, 2.0 ** -1060])
 def test_jacobi_stop_rule_is_relative(scale):
     # An absolute floor in the stop rule would accept the input as already

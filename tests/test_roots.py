@@ -248,6 +248,32 @@ def test_nth_root_square_takes_the_spectral_sqrt_side_of_the_cut():
         assert gap <= 1e-10 * (1.0 + fro(N))
 
 
+def _root_from_eigenvalues(Q, lam):
+    return (Q * np.sqrt(lam)) @ Q.conj().T
+
+
+def test_spectral_sqrt_keeps_a_tiny_imaginary_eigenvalue_off_the_cut():
+    # An absolute snap would put 1e-12 i on the real axis (forward error
+    # 6e-7 behind a power residual of 4e-13).
+    lam = np.array([1e-12j, 0.3 + 0.4j, 0.2 + 0.5j, 0.7 + 0.1j, 1.0])
+    Q = random_unitary(np.random.default_rng(12), 5)
+    expected = _root_from_eigenvalues(Q, lam)
+    root = spectral_sqrt((Q * lam) @ Q.conj().T).root
+    assert fro(root - expected) <= 1e-10 * fro(expected)
+
+
+@pytest.mark.parametrize("lam0", [-1e-8, -1e-12])
+def test_spectral_sqrt_snaps_small_negative_eigenvalues_to_plus_i(lam0):
+    # Eigenvalue noise is absolute (about eps ||N||), so a snap relative to
+    # |mu| alone leaves a small negative eigenvalue on the -i side.
+    lam = np.array([lam0, 0.3 + 0.4j, 0.2 + 0.5j, 0.7 + 0.1j, 1.0])
+    for seed in range(100):
+        Q = random_unitary(np.random.default_rng(seed), 5)
+        expected = _root_from_eigenvalues(Q, lam.astype(complex))
+        root = spectral_sqrt((Q * lam) @ Q.conj().T).root
+        assert fro(root - expected) <= 1e-10 * fro(expected)
+
+
 def test_nth_root_order_one_is_identity_map(rng):
     N, _ = random_normal(rng, 3)
     cert = nth_root(N, 1, 0)

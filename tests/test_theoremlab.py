@@ -73,9 +73,24 @@ def test_sylvester_random_residual(rng):
 
 
 def test_sylvester_dimension_cap():
+    # Only the n^2 x n^2 Kronecker system is capped; a non-Hermitian a
+    # takes that path.
     big = np.eye(33)
-    with pytest.raises(LinalgError):
-        sylvester_solve(SylvesterProblem(big, 2 * big, big))
+    shift = np.triu(np.ones((33, 33)), 1)
+    with pytest.raises(LinalgError, match="capped at dim 32"):
+        sylvester_solve(SylvesterProblem(big + shift, 2 * big, big))
+
+
+def test_sylvester_hermitian_past_the_kronecker_cap(rng):
+    # The eigenbasis path builds no Kronecker system, so n = 48 is solved.
+    a = random_hermitian(rng, 48) + 20.0 * np.eye(48)
+    b = random_hermitian(rng, 48) - 20.0 * np.eye(48)
+    s = random_dense(rng, 48)
+    la, Va = np.linalg.eigh(a)
+    lb, Vb = np.linalg.eigh(b)
+    expected = Va @ ((Va.conj().T @ s @ Vb) / np.subtract.outer(la, lb)) @ Vb.conj().T
+    X = sylvester_solve(SylvesterProblem(a, b, s))
+    assert fro(X - expected) <= 1e-10 * fro(expected)
 
 
 def _counted(calls, name, fn):
