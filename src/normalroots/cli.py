@@ -91,10 +91,13 @@ def _certificate_dict(cert) -> dict:
     }
 
 
-def _add_common(sub):
+def _add_common(sub, tolerances=("structural",)):
+    """--json, and a --tol-<name> flag for each tolerance the command reads;
+    an unread one is not accepted and keeps its default in the report."""
     sub.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    sub.add_argument("--tol-structural", type=float, default=DEFAULT_TOL.structural)
-    sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual)
+    sub.set_defaults(tol_structural=DEFAULT_TOL.structural, tol_residual=DEFAULT_TOL.residual)
+    for name in tolerances:
+        sub.add_argument(f"--tol-{name}", type=float)
 
 
 @functools.cache
@@ -132,16 +135,16 @@ def build_parser() -> _Parser:
     p.add_argument("--b", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--out", metavar="PATH")
-    _add_common(p)
+    _add_common(p, ("structural", "residual"))
 
     p = subs.add_parser("classify", help="classify a square root of a Hermitian matrix")
     p.add_argument("matrix", help="the root T")
     p.add_argument("--target", help="the Hermitian C with T^2 = C (default: T^2)")
-    _add_common(p)
+    _add_common(p, ("structural", "residual"))
 
     p = subs.add_parser("zero-square", help="nilpotent (T^2 = 0) sign checks")
     p.add_argument("matrix")
-    _add_common(p)
+    _add_common(p, ("structural", "residual"))
 
     p = subs.add_parser("range", help="is 0 in the numerical range?")
     p.add_argument("matrix")
@@ -149,7 +152,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("commutators", help="commutator identities for T and T^2")
     p.add_argument("matrix")
-    _add_common(p)
+    _add_common(p, ())
 
     p = subs.add_parser("volterra", help="discretized Volterra operator facts")
     p.add_argument("--n", type=int, required=True)
@@ -159,7 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, ("structural", "residual"))
 
     p = subs.add_parser("exp-periodicity", help="residual of e^{i(A+2k pi I)} = e^{iA}")
     p.add_argument("matrix")

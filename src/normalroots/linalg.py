@@ -14,11 +14,18 @@ eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``:
   tridiagonalization, then implicit QL on Python floats.  It serves every
   caller that discards the vectors: ``operator_norm`` (and the CLI
   ``volterra`` command), the psd/nsd flags of ``classify``,
-  ``roots.sign_case``, and in the theorem lab ``spectra_disjoint``, the gap
-  test of ``classify_root_of_selfadjoint``, ``check_zero_square`` and
-  ``normality_equivalence``.  The reduction is O(n^3) in a few numpy calls
-  per row; QL takes about two O(n) iterations per eigenvalue, data-dependent
-  and capped (ConvergenceError), against O(n^2) rotations per Jacobi sweep.
+  ``roots.sign_case`` and ``theoremlab.spectra_disjoint``.  Its checks
+  guard outside input; the work is done by the private core ``_eigvals``,
+  which takes a matrix that is finite and exactly Hermitian by construction.
+  Only the theorem-lab checks call the core directly (``check_zero_square``,
+  ``normality_equivalence`` and the gap test of
+  ``classify_root_of_selfadjoint``), on ``cartesian_parts`` of a checked
+  matrix.  The reduction runs on Python numbers up to n =
+  ``_SCALAR_REDUCTION_MAX_N`` (8; the two break even near n = 10) and as a
+  numpy loop above, where its O(n^2) work per column outweighs the dozen
+  numpy calls.  QL takes about two O(n) iterations per eigenvalue,
+  data-dependent and capped (ConvergenceError), against O(n^2) rotations per
+  Jacobi sweep.
 - ``hermitian_eigen`` runs cyclic Jacobi on one matrix and returns the
   vectors too.  Every construction that needs an eigenbasis of one matrix
   goes through it: ``psd_root``, ``normal_eigen``, ``expi`` and the
@@ -48,13 +55,16 @@ argument of an eigenvalue, ``unitary_log`` and ``roots.spectral_sqrt``,
 share one branch-cut rule, ``_branch_cut``: an eigenvalue with Re mu < 0
 within structural * |mu| + 16 n eps max|mu| of the real axis is put on it
 (imaginary part +0), so a negative real eigenvalue has arg = +pi whichever
-side rounding left it on.
+side rounding left it on.  The term 16 n eps max|mu| is the rounding noise
+of the eigenvalues (``_noise_floor``); ``polar_normal`` gives phase 1 only
+to eigenvalues below it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -222,6 +232,11 @@ def hermitian_defect(M: np.ndarray) -> float:
 def _ldexp(M, e):
     """M * 2^e, exact, for a real or complex array, or a float (returned as
     a float); inf where it overflows, without a warning."""
+    if isinstance(M, float):
+        try:
+            return math.ldexp(M, int(e))
+        except OverflowError:
+            return math.copysign(math.inf, M)
     with np.errstate(over="ignore"):
         if np.iscomplexobj(M):
             return np.ldexp(np.ascontiguousarray(M).view(float), e).view(complex)
@@ -242,12 +257,19 @@ def _unit_scale(M: np.ndarray, step: int = 1, down_only: bool = False):
     2^(-k e) + ||M / 2^e||^k, which down_only keeps finite.
     """
     M = np.asarray(M)
-    peak = np.maximum(np.abs(M.real), np.abs(M.imag)).max(axis=(-2, -1))
-    top = np.frexp(peak)[1]
-    e = np.where(top % step < 512, top - top % step, 0)
+    cplx = M.dtype.kind == "c"
+    x = np.ascontiguousarray(M).view(float) if cplx else M  # (Re, Im) pairs
+    peak = np.abs(x).max(axis=(-2, -1))
+    # The same integer arithmetic on a Python int (one matrix) and on an
+    # integer array (a stack).
+    top = math.frexp(peak)[1] if M.ndim == 2 else np.frexp(peak)[1]
+    rem = top % step
+    e = (top - rem) * (rem < 512)
     if down_only:
-        e = np.maximum(e, 0)
-    return _ldexp(M, -e[..., None, None]), e if M.ndim > 2 else int(e)
+        e = e * (e > 0)
+    # M / 2^e peaks below 1 (or e = 0), so it cannot overflow.
+    S = np.ldexp(x, -e if M.ndim == 2 else -e[..., None, None])
+    return (S.view(complex) if cplx else S), e
 
 
 def _normality(M: np.ndarray) -> tuple[float, float]:
@@ -290,9 +312,13 @@ def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> n
     return 0.5 * (M + _adj(M))
 
 
+def _not_normal(M: np.ndarray, name: str) -> NotNormalError:
+    return NotNormalError(f"{name} is not normal: defect {normality_defect(M):.3e}")
+
+
 def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
     if not is_normal(M, tol):
-        raise NotNormalError(f"{name} is not normal: defect {normality_defect(M):.3e}")
+        raise _not_normal(M, name)
     return M
 
 
@@ -522,6 +548,50 @@ def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
+def _tridiagonal_scalar(A: list) -> tuple[list, list]:
+    """``_tridiagonal`` on a nested list of Python floats or complex numbers
+    (``tolist()`` of a real or complex array): the same reflections and
+    update, as lists d and |e|.
+
+    Each step keeps only the trailing block, and conjugates nothing when
+    real.  Up to _SCALAR_REDUCTION_MAX_N this beats the numpy loop, whose
+    dozen numpy calls per column cost more than their arithmetic.
+    """
+    n = len(A)
+    real = not isinstance(A[0][0], complex)
+    d, e = [], []
+    for _ in range(n - 2):
+        x = [row[0] for row in A[1:]]
+        d.append(A[0][0].real)
+        B = [row[1:] for row in A[1:]]
+        norm = math.sqrt(sum(map(mul, x, x if real else [z.conjugate() for z in x])).real)
+        e.append(norm)
+        if norm == 0.0:
+            A = B
+            continue
+        x0 = x[0]
+        a0 = abs(x0)
+        v = x  # x is not read again
+        v[0] = x0 + (x0 / a0 if a0 else 1.0) * norm
+        tau = 1.0 / (norm * (norm + a0))
+        p = [tau * sum(map(mul, row, v)) for row in B]
+        vc = v if real else [z.conjugate() for z in v]
+        half = 0.5 * tau * sum(map(mul, vc, p)).real
+        w = [pi - half * vi for pi, vi in zip(p, v)]
+        wc = w if real else [z.conjugate() for z in w]
+        A = [[b - vi * wj - wi * vj for b, wj, vj in zip(row, wc, vc)]
+             for row, vi, wi in zip(B, v, w)]
+    if n > 1:
+        e.append(abs(A[1][0]))
+        d.append(A[0][0].real)
+    d.append(A[-1][-1].real)
+    return d, e
+
+
+# Largest n whose Householder reduction runs on Python numbers
+# (``_tridiagonal_scalar``); above it the numpy loop is faster.
+_SCALAR_REDUCTION_MAX_N = 8
+
 # LAPACK's cap on QL iterations per eigenvalue (dsteqr's MAXIT), and the
 # constants of its deflation test.
 _QL_MAX_ITER = 30
@@ -533,24 +603,38 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix, ascending, without vectors.
 
     Same input checks, and so the same LinalgError / NotHermitianError, as
-    ``hermitian_eigen``.  The matrix is normalised (``_unit_scale``), reduced
-    to a real symmetric tridiagonal (d, off) by Householder reflections
-    (``_tridiagonal``, real arithmetic for real input), solved by implicit QL
-    with Wilkinson shifts on Python floats (Bowdler, Martin, Reinsch &
-    Wilkinson 1968; LAPACK's dsteqr without vectors) and scaled back.  off_m
-    is dropped once off_m^2 <= eps^2 |d_m| |d_m+1| + safmin; the safmin term
-    also deflates a zero-diagonal block with a tiny off-diagonal and keeps
-    the shift finite.  The error is a small multiple of n * eps * ||H||_2,
-    and 2^k H gives exactly 2^k times the values of H.  The number of QL
-    iterations depends on the data; past _QL_MAX_ITER per eigenvalue,
-    ConvergenceError reports norms in H's units.
+    ``hermitian_eigen``; the checked matrix goes to ``_eigvals``, whose
+    docstring gives the method, the error and the ConvergenceError.
     """
-    H = as_matrix(H, "H")
-    A, e = _unit_scale(require_hermitian(H, tol, "H"))
+    return _eigvals(require_hermitian(as_matrix(H, "H"), tol, "H"))
+
+
+def _eigvals(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of H, ascending, for H finite and exactly Hermitian (H[i, j]
+    == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks,
+    for callers that built H that way (``cartesian_parts`` of a checked
+    matrix).
+
+    H is normalised (``_unit_scale``), reduced to a real symmetric
+    tridiagonal (d, off) by Householder reflections (on Python numbers up to
+    n = _SCALAR_REDUCTION_MAX_N, else ``_tridiagonal``; real arithmetic for
+    real input), solved by implicit QL with Wilkinson shifts on Python floats
+    (Bowdler, Martin, Reinsch & Wilkinson 1968; LAPACK's dsteqr without
+    vectors) and scaled back.  off_m is dropped once off_m^2 <= eps^2 |d_m|
+    |d_m+1| + safmin; the safmin term also deflates a zero-diagonal block
+    with a tiny off-diagonal and keeps the shift finite.  The error is a
+    small multiple of n * eps * ||H||_2, and 2^k H gives exactly 2^k times
+    the values of H.  The number of QL iterations depends on the data; past
+    _QL_MAX_ITER per eigenvalue, ConvergenceError reports norms in H's units.
+    """
+    A, e = _unit_scale(H)
     if not A.imag.any():
         A = A.real
-    d, off = (x.tolist() for x in _tridiagonal(A))
-    n = len(d)
+    n = A.shape[0]
+    if n <= _SCALAR_REDUCTION_MAX_N:
+        d, off = _tridiagonal_scalar(A.tolist())
+    else:
+        d, off = (x.tolist() for x in _tridiagonal(A))
     off.append(0.0)
     budget = _QL_MAX_ITER * n
     for top in range(n):
@@ -596,12 +680,17 @@ def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _adj(M)) if np.isrealobj(values) else M
 
 
+def _noise_floor(mods: np.ndarray) -> float:
+    """16 n eps max|mu| for the moduli of n eigenvalues mu of a normal N: the
+    size of their rounding noise, which is absolute (about eps ||N||)."""
+    return 16 * len(mods) * np.finfo(float).eps * mods.max()
+
+
 def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
     """mu with entries left of 0 within structural * |mu| + 16 n eps max|mu|
-    of the real axis put on it (imaginary part +0); the floor covers
-    eigenvalue noise, which is absolute (about eps ||N||)."""
+    (``_noise_floor``) of the real axis put on it (imaginary part +0)."""
     mods = np.abs(mu)
-    snap = tol.structural * mods + 16 * len(mu) * np.finfo(float).eps * mods.max()
+    snap = tol.structural * mods + _noise_floor(mods)
     return np.where((mu.real < 0) & (np.abs(mu.imag) <= snap), mu.real.astype(complex), mu)
 
 
@@ -696,14 +785,16 @@ def polar_normal(N, tol: Tolerances = DEFAULT_TOL) -> PolarForm:
     """Commuting polar decomposition N = U P = P U of a normal matrix.
 
     Both factors come from one eigendecomposition N = V diag(mu) V*:
-    P = V |mu| V* and U = V (mu/|mu|) V*.  Zero eigenvalues of N map to
-    unitary eigenvalue 1 (canonical completion of U on the kernel of P).
+    P = V |mu| V* and U = V (mu/|mu|) V*.  Eigenvalues of N within the
+    rounding noise of 0, |mu| <= 16 n eps max|mu| (``_noise_floor``), map to
+    unitary eigenvalue 1 (canonical completion of U on the kernel of P); any
+    larger one keeps its phase, however small it is against ||N||.
     """
     N = as_matrix(N, "N")
     mu, V = normal_eigen(N, tol)
-    zero_thr = tol.structural * (1.0 + fro(N))
     mods = np.abs(mu)
-    phases = np.where(mods > zero_thr, mu / np.where(mods > zero_thr, mods, 1.0), 1.0)
+    zero = mods <= _noise_floor(mods)
+    phases = np.where(zero, 1.0, mu / np.where(zero, 1.0, mods))
     return PolarForm(unitary=_spectral_map(V, phases), positive=_spectral_map(V, mods))
 
 

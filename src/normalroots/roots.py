@@ -14,6 +14,7 @@ Three constructions, plus a spectral oracle:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,9 +22,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     IndefiniteError,
+    NotNormalError,
     Tolerances,
     _branch_cut,
     _ldexp,
+    _not_normal,
     _spectral_map,
     _unit_scale,
     abs_op,
@@ -96,7 +99,12 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     D ~ 0 counts as nonneg (both square-root branches coincide there).
     Raises IndefiniteError when eigenvalues of both signs exceed the band.
     """
-    D = as_matrix(D, "D")
+    return _sign_case(as_matrix(D, "D"), 0, tol)
+
+
+def _sign_case(D: np.ndarray, e: int, tol: Tolerances) -> str:
+    """``sign_case`` of D = Im(N / 2^e), decided on D; the IndefiniteError
+    quotes the eigenvalues of Im N itself, 2^e times those of D."""
     lam = hermitian_eigvals(D, tol)
     band = tol.structural * (1.0 + fro(D))
     lam_min = float(lam[0])
@@ -106,8 +114,19 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     if lam_max <= band:
         return "nonpos"
     raise IndefiniteError(
-        f"imaginary part is indefinite: lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e}"
+        f"imaginary part is indefinite: lambda_min={_ldexp(lam_min, e):.3e}, "
+        f"lambda_max={_ldexp(lam_max, e):.3e}"
     )
+
+
+@contextmanager
+def _quoting_defect_of(N):
+    """Normality is decided on N / 2^e, but normality_defect is not scale
+    invariant: a NotNormalError is re-raised with the defect of N itself."""
+    try:
+        yield
+    except NotNormalError:
+        raise _not_normal(N, "N") from None
 
 
 def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -124,9 +143,10 @@ def _signdef_case_and_root(N, tol: Tolerances) -> tuple[str, RootCertificate]:
     """``sqrt_signdef``'s certificate and the sign case its normalised N took."""
     N = as_matrix(N, "N")
     S, e = _unit_scale(N, step=2)
-    require_normal(S, tol, "N")
+    with _quoting_defect_of(N):
+        require_normal(S, tol, "N")
     parts = cartesian_parts(S)
-    case = sign_case(parts.im, tol)
+    case = _sign_case(parts.im, e, tol)
     absn = abs_op(S, tol)
     A = psd_root(0.5 * (absn + parts.re), 2, tol)
     B = psd_root(0.5 * (absn - parts.re), 2, tol)
@@ -166,7 +186,8 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     if not isinstance(k, (int, np.integer)):
         raise ValueError("branch k must be an integer")
     S, e = _unit_scale(N, step=int(n))
-    form = polar_normal(S, tol)
+    with _quoting_defect_of(N):
+        form = polar_normal(S, tol)
     A = unitary_log(form.unitary, tol)
     shift = (A + 2.0 * np.pi * int(k) * np.eye(N.shape[0])) / int(n)
     root = psd_root(form.positive, int(n), tol) @ expi(shift, tol)
@@ -183,6 +204,7 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """
     N = as_matrix(N, "N")
     S, e = _unit_scale(N, step=2)
-    mu, V = normal_eigen(S, tol)
+    with _quoting_defect_of(N):
+        mu, V = normal_eigen(S, tol)
     root = _spectral_map(V, np.sqrt(_branch_cut(mu, tol)))
     return verify_root(_ldexp(root, e // 2), N, 2)

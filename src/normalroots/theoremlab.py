@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgError,
     Tolerances,
+    _eigvals,
     _normality,
     _ldexp,
     _unit_scale,
@@ -446,7 +447,7 @@ def classify_root_of_selfadjoint(
     )
     for evidence, case, tested, vanishing, message in hypotheses:
         # spectra_disjoint(tested, -tested) from one eigensolve.
-        lam = hermitian_eigvals(tested, tol)
+        lam = _eigvals(tested)
         norm = fro(tested)
         if _spectral_gap(lam, -lam, norm, norm, tol)[0]:
             residual = fro(vanishing)
@@ -519,8 +520,8 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
     square_norm = _ldexp(square, 2 * e)
     parts = cartesian_parts(S)
-    la = np.ldexp(hermitian_eigvals(parts.re, tol), e)
-    lb = np.ldexp(hermitian_eigvals(parts.im, tol), e)
+    la = np.ldexp(_eigvals(parts.re), e)
+    lb = np.ldexp(_eigvals(parts.im), e)
     re_margins = (float(la[0]), float(la[-1]))
     im_margins = (float(lb[0]), float(lb[-1]))
     band = tol.structural * (1.0 + fro(T))
@@ -642,8 +643,8 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     S = M @ M
     D = cartesian_parts(S).im
     band = tol.structural * (math.ldexp(1.0, -e) + fro(M))
-    la = hermitian_eigvals(A, tol)
-    lb = hermitian_eigvals(B, tol)
+    la = _eigvals(A)
+    lb = _eigvals(B)
     if _definite(la, band):
         applicable, part = "re", A
     elif _definite(lb, band):

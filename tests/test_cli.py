@@ -285,20 +285,62 @@ def test_cli_determinism(tmp_path):
 
 
 def test_cli_tolerance_flags_recorded(tmp_path):
-    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    t_path = _write(tmp_path, "J.mat", np.array([[0.0, 1.0], [0.0, 0.0]]))
     rpt = tmp_path / "r.json"
-    assert main(["sqrt", n_path, "--tol-residual", "1e-8", "--json", str(rpt)]) == 0
+    assert main(["zero-square", t_path, "--tol-residual", "1e-8", "--json", str(rpt)]) == 0
     assert _read_report(rpt)["tolerances"]["residual"] == 1e-8
+    # A command that reads no tolerance still records both defaults.
+    assert main(["commutators", t_path, "--json", str(rpt)]) == 0
+    tolerances = _read_report(rpt)["tolerances"]
+    assert (tolerances["structural"], tolerances["residual"]) == (1e-10, 1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["commutators", "--tol-structural", "1e-8"],
+    ["commutators", "--tol-residual", "1e-8"],
+    ["sqrt", "--tol-residual", "1e-8"],
+    ["spectral-sqrt", "--tol-residual", "1e-8"],
+    ["range", "--tol-residual", "1e-8"],
+    ["exp-periodicity", "--k", "1", "--tol-residual", "1e-8"],
+])
+def test_cli_unread_tolerance_flag_exits_64(tmp_path, capsys, argv):
+    # A flag the command would ignore is a usage error, not a silent no-op.
+    n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], n_path, *argv[1:]])
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {argv[-2]} 1e-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--tol-structural", "--tol-residual"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_cli_nonpositive_tolerance_exits_64(tmp_path, capsys, flag, value):
     n_path = _write(tmp_path, "N.mat", np.eye(2, dtype=complex))
-    assert main(["range", n_path, flag, value]) == 64
+    assert main(["classify", n_path, flag, value]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "strictly positive" in captured.err
+
+
+def test_cli_sqrt_indefinite_message_quotes_the_input(tmp_path, capsys):
+    # The sign test runs on N / 4; the message gives the eigenvalues of
+    # Im N = diag(4, -4), not those of Im(N / 4).
+    n_path = _write(tmp_path, "N.mat", np.diag([4.0 + 4.0j, 4.0 - 4.0j]))
+    assert main(["sqrt", n_path]) == 1
+    assert capsys.readouterr().err == (
+        "normalroots: imaginary part is indefinite: lambda_min=-4.000e+00, lambda_max=4.000e+00\n"
+    )
+
+
+def test_cli_spectral_sqrt_defect_message_quotes_the_input(tmp_path, capsys):
+    # Normality is decided on N / 2^e, whose defect (0.707) is not N's.
+    from normalroots.linalg import normality_defect
+
+    N = 1024.0 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    n_path = _write(tmp_path, "N.mat", N)
+    assert main(["spectral-sqrt", n_path]) == 1
+    assert f"{normality_defect(N):.3e}" == "1.414e+00"
+    assert capsys.readouterr().err == "normalroots: N is not normal: defect 1.414e+00\n"
 
 
 def test_cli_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -471,7 +513,7 @@ def test_cli_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeyp
     t_path = _write(tmp_path, "T.mat", np.array([[1.0, 2.0], [0.5j, -1.0]]))
     runs = [
         ["root", n_path, "--n", "3", "--k", "1"],
-        ["sqrt", n_path, "--tol-residual", "1e-8"],
+        ["sqrt", n_path, "--tol-structural", "1e-8"],
         ["root", n_path, "--n"],  # usage error: --n without a value
         ["root", n_path, "--n", "3"],  # --k back to its default
         ["commutators", t_path],

@@ -172,12 +172,29 @@ def test_roots_correct_at_every_scale(rng, k):
 
 def test_nth_root_of_high_order_keeps_the_input_normalised():
     # The exponent is a multiple of n at or below N's, so N / 2^e never
-    # drops under the absolute floors (here 2^-35 would turn every phase to 1).
+    # drops under the absolute floors (normal_eigen's cluster gap, psd_root's
+    # clamp band).
     N = -(2.0**35) * np.eye(2)
     T = nth_root(N, 70).root
     assert fro(np.linalg.matrix_power(T, 70) - N) <= 1e-12 * fro(N)
     with pytest.raises(NotNormalError):
         nth_root(2.0**35 * np.array([[0.0, 1.0], [0.0, 0.0]]), 70)
+
+
+@pytest.mark.parametrize("build", [
+    sqrt_signdef, spectral_sqrt, lambda N: nth_root(N, 3), lambda N: root_pow2n(N, 2),
+], ids=["sqrt_signdef", "spectral_sqrt", "nth_root", "root_pow2n"])
+def test_not_normal_message_quotes_the_input_defect(build):
+    # Normality is decided on N / 2^e; the message gives normality_defect(N).
+    N = 1024.0 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotNormalError, match=f"^N is not normal: defect "
+                       f"{linalg.normality_defect(N):.3e}$".replace("+", r"\+")):
+        build(N)
+
+
+def test_sign_case_message_quotes_the_input_eigenvalues():
+    with pytest.raises(IndefiniteError, match=r"lambda_min=-4\.000e\+00, lambda_max=4\.000e\+00"):
+        sqrt_signdef(np.diag([4.0 + 4.0j, 4.0 - 4.0j]))
 
 
 def test_nth_root_identity_branch():
@@ -260,6 +277,18 @@ def test_spectral_sqrt_keeps_a_tiny_imaginary_eigenvalue_off_the_cut():
     expected = _root_from_eigenvalues(Q, lam)
     root = spectral_sqrt((Q * lam) @ Q.conj().T).root
     assert fro(root - expected) <= 1e-10 * fro(expected)
+
+
+def test_nth_root_keeps_the_phase_of_a_tiny_eigenvalue():
+    # polar_normal sets a phase to 1 only within eigenvalue noise of 0
+    # (16 n eps max|mu|); an absolute threshold structural * (1 + ||N||_F)
+    # dropped the phase of 1e-12 i (forward error 2.9e-5 behind a power
+    # residual of 6e-13).
+    lam = np.array([1e-12j, 0.3 + 0.4j, 0.2 + 0.5j, 0.7 + 0.1j, 1.0])
+    Q = random_unitary(np.random.default_rng(12), 5)
+    expected = (Q * lam ** (1.0 / 3.0)) @ Q.conj().T
+    root = nth_root((Q * lam) @ Q.conj().T, 3).root
+    assert fro(root - expected) <= 1e-8 * fro(expected)
 
 
 @pytest.mark.parametrize("lam0", [-1e-8, -1e-12])
