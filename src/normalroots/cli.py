@@ -34,7 +34,7 @@ from .linalg import (
     hermitian_eigvals,
     operator_norm,
 )
-from .matio import MatrixFormatError, load_matrix, save_matrix
+from .matio import MatrixFormatError, parse_matrix, save_matrix
 from .roots import _signdef_case_and_root, nth_root, spectral_sqrt
 from .theoremlab import (
     SylvesterProblem,
@@ -75,11 +75,12 @@ def _json_default(value):
 
 
 def _load(path: str, inputs: dict) -> np.ndarray:
-    """The matrix in the file at path; records the file's sha256 in inputs."""
-    M = load_matrix(path)
+    """The matrix in the file at path, read once (a pipe such as /dev/stdin
+    cannot be read twice); records the sha256 of the bytes parsed in inputs."""
     with open(path, "rb") as fh:
-        inputs[path] = hashlib.sha256(fh.read()).hexdigest()
-    return M
+        data = fh.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return parse_matrix(data, name=path)
 
 
 def _certificate_dict(cert) -> dict:

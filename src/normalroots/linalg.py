@@ -8,7 +8,8 @@ nth roots, polar decomposition of normal matrices, and the unitary
 exponential/logarithm pair with the principal branch fixed to (-pi, pi].
 
 Callers pass matrices Hermitian within tolerance; all three Hermitian
-eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``:
+eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``
+(the stacked engine checks shape and finiteness itself):
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
   tridiagonalization, then implicit QL on Python floats.  It serves every
@@ -17,10 +18,11 @@ eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``:
   ``roots.sign_case`` and ``theoremlab.spectra_disjoint``.  Its checks
   guard outside input; the work is done by the private core ``_eigvals``,
   which takes a matrix that is finite and exactly Hermitian by construction.
-  Only the theorem-lab checks call the core directly (``check_zero_square``,
+  Only the theorem-lab checks (``check_zero_square``,
   ``normality_equivalence`` and the gap test of
-  ``classify_root_of_selfadjoint``), on ``cartesian_parts`` of a checked
-  matrix.  The reduction runs on Python numbers up to n =
+  ``classify_root_of_selfadjoint``) and the sign case of
+  ``roots.sqrt_signdef`` call the core directly, on ``cartesian_parts`` of a
+  checked matrix.  The reduction runs on Python numbers up to n =
   ``_SCALAR_REDUCTION_MAX_N`` (8; the two break even near n = 10) and as a
   numpy loop above, where its O(n^2) work per column outweighs the dozen
   numpy calls.  QL takes about two O(n) iterations per eigenvalue,
@@ -38,14 +40,27 @@ eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``:
   rotating n/2 disjoint pairs of every member at once.  It serves callers
   that need many small eigensolves together: the Hermitian Sylvester solve
   (both coefficients in one call) and the angle search of the
-  numerical-range test.  For one small matrix it is slower than the serial
-  loop, so single solves stay serial.
+  numerical-range test.  On one matrix it is slower than the serial loop
+  below n = 8 and faster from there, but single solves stay serial for
+  now.
 
 Every power-of-two exponent in the package comes from ``_unit_scale``, and
 all three eigensolvers work on its exactly scaled matrix A, so 2^k H gives
-exactly 2^k times the eigenvalues of H.  The two Jacobi solvers stop once
-the off-diagonal norm of A is at most ``_JACOBI_TOL`` * ||A||_F, a relative
-rule with no absolute floor (Demmel & Veselic 1992).
+exactly 2^k times the eigenvalues of H.
+
+The two Jacobi engines differ only in the order of their rotations and in
+the angle rule (each engine's docstring); everything else is one contract,
+``_jacobi``, for a matrix and for each member of a stack alike.
+``require_hermitian`` tests and symmetrises the input and names the first
+member that fails as H[b].  Each member is normalised on its own, A =
+H / 2^e, and starts from V = I.  It skips rotations on entries of modulus
+at most threshold / (4n), and stops once its off-diagonal norm is at most
+threshold = ``_JACOBI_TOL`` * ||A||_F, a relative rule with no absolute
+floor (Demmel & Veselic 1992).  After ``_MAX_SWEEPS`` sweeps a
+ConvergenceError quotes the norms in H's units, with "member b" for a
+stack.  Eigenvalues come back ascending (a stable sort) and times 2^e, with
+the columns of V permuted to match.  So a member of a stack gets bit for
+bit the result it gets in a stack of one.
 
 Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 ``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
@@ -62,6 +77,7 @@ to eigenvalues below it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -222,7 +238,8 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 
 def _adj(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """The conjugate transpose of a matrix, or of each member of a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def hermitian_defect(M: np.ndarray) -> float:
@@ -305,10 +322,15 @@ def _is_unitary(M: np.ndarray, tol: Tolerances) -> bool:
 
 
 def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
-    if not is_hermitian(M, tol):
-        raise NotHermitianError(
-            f"{name} is not Hermitian: defect {hermitian_defect(M):.3e}"
-        )
+    """0.5 (M + M*), for a matrix or for each member of a stack (B, n, n),
+    once each defect ||M - M*||_F is at most structural * (1 + ||M||_F);
+    else NotHermitianError names the first member that fails, as name[b]."""
+    defect = hermitian_defect(M)
+    bad = np.flatnonzero(defect > tol.structural * (1.0 + fro(M)))
+    if bad.size:
+        b = bad[0]
+        label = f"{name}[{b}]" if M.ndim > 2 else name
+        raise NotHermitianError(f"{label} is not Hermitian: defect {np.ravel(defect)[b]:.3e}")
     return 0.5 * (M + _adj(M))
 
 
@@ -339,79 +361,101 @@ def recompose(pair: CartesianPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return re + 1j * im
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    return fro(A - np.diag(np.diag(A)))
-
-
 # Jacobi's relative stopping threshold, and its sweep limit.
 _JACOBI_TOL = 1e-13
 _MAX_SWEEPS = 64
 
 
-def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Full eigendecomposition of a complex Hermitian matrix.
-
-    Cyclic Jacobi rotations on A = H / 2^e (``_unit_scale``); each rotation
-    zeroes one off-diagonal entry via a phased plane rotation.  Terminates
-    when the off-diagonal Frobenius norm drops below _JACOBI_TOL * ||A||_F.
-    Eigenvalues returned ascending, times 2^e, with columns of the unitary
-    factor permuted to match; ConvergenceError reports norms in H's units.
-    """
-    H = as_matrix(H, "H")
-    A, e = _unit_scale(require_hermitian(H, tol, "H"))
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
+def _jacobi(H: np.ndarray, sweep) -> HermitianEigen:
+    """The Jacobi contract of the module docstring, on a matrix or a stack H
+    that ``require_hermitian`` has checked and symmetrised; sweep(A, V, skip,
+    active) rotates the members listed in active once over every pair."""
+    A, e = _unit_scale(H)
+    n = A.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    V = np.empty(A.shape, dtype=complex)
+    V[...] = eye
+    offdiag = 1.0 - eye  # 0 on the diagonal, 1 off it: A * offdiag is exact
     threshold = _JACOBI_TOL * fro(A)
     # Rotations on entries this small cannot push the off-diagonal mass
     # above threshold/4, so skipping them is safe and speeds the last sweeps.
     skip = threshold / (4.0 * n)
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(A) <= threshold:
+        active = np.flatnonzero(fro(A * offdiag) > threshold)
+        if active.size == 0:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                u = apq / mag
-                theta = 0.5 * np.arctan2(2.0 * mag, float((A[q, q] - A[p, p]).real))
-                c = np.cos(theta)
-                s = np.sin(theta)
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * np.conj(u) * Aq
-                A[:, q] = s * u * Ap + c * Aq
-                Rp = A[p, :].copy()
-                Rq = A[q, :].copy()
-                A[p, :] = c * Rp - s * u * Rq
-                A[q, :] = s * np.conj(u) * Rp + c * Rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * np.conj(u) * Vq
-                V[:, q] = s * u * Vp + c * Vq
+        sweep(A, V, skip, active)
     else:
-        off = _offdiag_norm(A)
-        if off > threshold:
+        off = fro(A * offdiag)
+        b = int(np.argmax(off - threshold))
+        off_b, threshold_b, e_b = (np.ravel(x)[b] for x in (off, threshold, e))
+        if off_b > threshold_b:
+            member = f"member {b} " if A.ndim > 2 else ""
             raise ConvergenceError(
-                f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: off-diagonal norm "
-                f"{_ldexp(off, e):.3e} > threshold {_ldexp(threshold, e):.3e}"
+                f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: {member}off-diagonal "
+                f"norm {_ldexp(off_b, e_b):.3e} > threshold {_ldexp(threshold_b, e_b):.3e}"
             )
-    lam = _ldexp(np.diag(A).real, e)
+    # Transposed, a stack's (B, n) values meet its (B,) exponents.
+    lam = _ldexp(np.diagonal(A, axis1=-2, axis2=-1).real.T, e).T
     order = np.argsort(lam, kind="stable")
-    return HermitianEigen(eigenvalues=lam[order], vectors=V[:, order])
+    if A.ndim == 2:
+        return HermitianEigen(eigenvalues=lam[order], vectors=V[:, order])
+    return HermitianEigen(
+        eigenvalues=np.take_along_axis(lam, order, axis=1),
+        vectors=np.take_along_axis(V, order[:, None, :], axis=2),
+    )
 
 
+def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
+    """Full eigendecomposition of a complex Hermitian matrix, under the
+    Jacobi contract of the module docstring.
+
+    Cyclic ordering: each sweep visits the pairs p < q row by row, and each
+    rotation zeroes A[p, q] by a phased plane rotation with theta =
+    atan2(2|a_pq|, a_qq - a_pp) / 2, in (0, pi/2).
+    """
+    return _jacobi(require_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
+
+
+def _cyclic_sweep(A: np.ndarray, V: np.ndarray, skip: float, active) -> None:
+    """One cyclic sweep of ``hermitian_eigen`` on the single matrix A."""
+    n = A.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = A[p, q]
+            mag = abs(apq)
+            if mag <= skip:
+                continue
+            u = apq / mag
+            theta = 0.5 * np.arctan2(2.0 * mag, float((A[q, q] - A[p, p]).real))
+            c = np.cos(theta)
+            s = np.sin(theta)
+            Ap = A[:, p].copy()
+            Aq = A[:, q].copy()
+            A[:, p] = c * Ap - s * np.conj(u) * Aq
+            A[:, q] = s * u * Ap + c * Aq
+            Rp = A[p, :].copy()
+            Rq = A[q, :].copy()
+            A[p, :] = c * Rp - s * u * Rq
+            A[q, :] = s * np.conj(u) * Rp + c * Rq
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            A[p, p] = A[p, p].real
+            A[q, q] = A[q, q].real
+            Vp = V[:, p].copy()
+            Vq = V[:, q].copy()
+            V[:, p] = c * Vp - s * np.conj(u) * Vq
+            V[:, q] = s * u * Vp + c * Vq
+
+
+@functools.cache
 def _round_robin(n: int) -> list:
-    """Jacobi pair schedule: n - 1 rounds (n rounds for odd n) of disjoint
-    pairs (p, q), p < q, covering every pair once.
+    """Jacobi pair schedule for n > 1: n - 1 rounds (n rounds for odd n) of
+    disjoint pairs (p, q), p < q, covering every pair once.
 
     Circle method: player 0 stays put while the others rotate one seat per
     round.  Odd n adds a dummy player n; its partner sits the round out.
+    Cached, so every sweep of every call shares one schedule: read it only.
     """
     m = n + n % 2
     seats = list(range(m))
@@ -429,17 +473,14 @@ def _round_robin(n: int) -> list:
 
 
 def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecompositions of a stack of complex Hermitian matrices (B, n, n).
+    """Eigendecompositions of a stack of complex Hermitian matrices (B, n, n),
+    under the Jacobi contract of the module docstring: eigenvalues (B, n) and
+    vectors (B, n, n), one row and one matrix per member.
 
-    Round-robin Jacobi (Brent & Luk 1985): each round rotates n/2 disjoint
-    pairs of every member at once.  The angle solves the same zeroing
-    condition as ``hermitian_eigen`` but is taken with |theta| <= pi/4,
-    because the larger serial angle stalls under a parallel ordering.  Each
-    member has its own Hermitian test, exponent (``_unit_scale``), threshold
-    _JACOBI_TOL * ||A_b||_F on the normalised A_b and skip rule, and stops
-    rotating once its off-diagonal norm is below its threshold.  Returns
-    eigenvalues (B, n), ascending per member and scaled back exactly, and
-    vectors (B, n, n) with columns permuted to match.
+    Round-robin ordering (Brent & Luk 1985): each round rotates n/2 disjoint
+    pairs of every unconverged member at once.  The angle solves the same
+    zeroing condition as ``hermitian_eigen`` but is taken with |theta| <=
+    pi/4, because the larger serial angle stalls under a parallel ordering.
     """
     A = np.asarray(H, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
@@ -448,66 +489,38 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
         )
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise LinalgError("H contains non-finite entries")
-    adj = A.conj().transpose(0, 2, 1)
-    defect = fro(A - adj)
-    bad = np.flatnonzero(defect > tol.structural * (1.0 + fro(A)))
-    if bad.size:
-        raise NotHermitianError(
-            f"H[{bad[0]}] is not Hermitian: defect {defect[bad[0]]:.3e}"
-        )
-    A, e = _unit_scale(0.5 * (A + adj))
-    n = A.shape[1]
-    V = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
-    threshold = _JACOBI_TOL * fro(A)
-    skip = threshold / (4.0 * n)
-    offdiag = ~np.eye(n, dtype=bool)
-    rounds = _round_robin(n) if n > 1 else []
-    for _ in range(_MAX_SWEEPS):
-        active = np.flatnonzero(fro(A * offdiag) > threshold)
-        if active.size == 0:
-            break
-        # Work on the unconverged members only, as the serial loop would.
-        Ab, Vb, skip_b = A[active], V[active], skip[active, None]
-        for p, q in rounds:
-            apq = Ab[:, p, q]
-            mag = np.abs(apq)
-            d = (Ab[:, q, q] - Ab[:, p, p]).real
-            rot = mag > skip_b
-            # A skipped pair gets theta = 0, an exact identity rotation.
-            theta = 0.5 * np.arctan2(np.copysign(2.0, d) * np.where(rot, mag, 0.0), np.abs(d))
-            c = np.cos(theta)
-            su = np.sin(theta) * apq / np.where(rot, mag, 1.0)
-            suc = su.conj()
-            cc, su_c, suc_c = c[:, None, :], su[:, None, :], suc[:, None, :]
-            Ap, Aq = Ab[:, :, p], Ab[:, :, q]
-            Ab[:, :, p] = cc * Ap - suc_c * Aq
-            Ab[:, :, q] = su_c * Ap + cc * Aq
-            Rp, Rq = Ab[:, p, :], Ab[:, q, :]
-            Ab[:, p, :] = c[..., None] * Rp - su[..., None] * Rq
-            Ab[:, q, :] = suc[..., None] * Rp + c[..., None] * Rq
-            Ab[:, p, q] = np.where(rot, 0.0, Ab[:, p, q])
-            Ab[:, q, p] = np.where(rot, 0.0, Ab[:, q, p])
-            Ab[:, p, p] = Ab[:, p, p].real
-            Ab[:, q, q] = Ab[:, q, q].real
-            Vp, Vq = Vb[:, :, p], Vb[:, :, q]
-            Vb[:, :, p] = cc * Vp - suc_c * Vq
-            Vb[:, :, q] = su_c * Vp + cc * Vq
-        A[active], V[active] = Ab, Vb
-    else:
-        off = fro(A * offdiag)
-        worst = int(np.argmax(off - threshold))
-        if off[worst] > threshold[worst]:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: member {worst} "
-                f"off-diagonal norm {_ldexp(off[worst], e[worst]):.3e} > "
-                f"threshold {_ldexp(threshold[worst], e[worst]):.3e}"
-            )
-    lam = _ldexp(np.diagonal(A, axis1=1, axis2=2).real, e[:, None])
-    order = np.argsort(lam, axis=1, kind="stable")
-    return HermitianEigen(
-        eigenvalues=np.take_along_axis(lam, order, axis=1),
-        vectors=np.take_along_axis(V, order[:, None, :], axis=2),
-    )
+    return _jacobi(require_hermitian(A, tol, "H"), _round_robin_sweep)
+
+
+def _round_robin_sweep(A: np.ndarray, V: np.ndarray, skip: np.ndarray, active) -> None:
+    """One round-robin sweep of ``hermitian_eigen_batch`` over the members of
+    the stack A listed in active; converged members are left as they are."""
+    Ab, Vb, skip_b = A[active], V[active], skip[active, None]
+    for p, q in _round_robin(A.shape[-1]):
+        apq = Ab[:, p, q]
+        mag = np.abs(apq)
+        d = (Ab[:, q, q] - Ab[:, p, p]).real
+        rot = mag > skip_b
+        # A skipped pair gets theta = 0, an exact identity rotation.
+        theta = 0.5 * np.arctan2(np.copysign(2.0, d) * np.where(rot, mag, 0.0), np.abs(d))
+        c = np.cos(theta)
+        su = np.sin(theta) * apq / np.where(rot, mag, 1.0)
+        suc = su.conj()
+        cc, su_c, suc_c = c[:, None, :], su[:, None, :], suc[:, None, :]
+        Ap, Aq = Ab[:, :, p], Ab[:, :, q]
+        Ab[:, :, p] = cc * Ap - suc_c * Aq
+        Ab[:, :, q] = su_c * Ap + cc * Aq
+        Rp, Rq = Ab[:, p, :], Ab[:, q, :]
+        Ab[:, p, :] = c[..., None] * Rp - su[..., None] * Rq
+        Ab[:, q, :] = suc[..., None] * Rp + c[..., None] * Rq
+        Ab[:, p, q] = np.where(rot, 0.0, Ab[:, p, q])
+        Ab[:, q, p] = np.where(rot, 0.0, Ab[:, q, p])
+        Ab[:, p, p] = Ab[:, p, p].real
+        Ab[:, q, q] = Ab[:, q, q].real
+        Vp, Vq = Vb[:, :, p], Vb[:, :, q]
+        Vb[:, :, p] = cc * Vp - suc_c * Vq
+        Vb[:, :, q] = su_c * Vp + cc * Vq
+    A[active], V[active] = Ab, Vb
 
 
 def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,15 @@ class MatrixFormatError(ValueError):
     """Malformed matrix file; message carries line/column diagnostics."""
 
 
-def parse_matrix(text: str, name: str = "<string>") -> np.ndarray:
+def parse_matrix(text: str | bytes, name: str = "<string>") -> np.ndarray:
+    """The matrix in text; bytes must be ASCII."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"{name}: non-ASCII byte 0x{text[exc.start]:02x} at offset {exc.start}"
+            ) from exc
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -67,14 +75,7 @@ def format_matrix(M) -> str:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MatrixFormatError(
-            f"{path}: non-ASCII byte 0x{data[exc.start]:02x} at offset {exc.start}"
-        ) from exc
-    return parse_matrix(text, name=str(path))
+        return parse_matrix(fh.read(), name=str(path))
 
 
 def save_matrix(path, M) -> None:

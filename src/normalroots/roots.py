@@ -25,6 +25,7 @@ from .linalg import (
     NotNormalError,
     Tolerances,
     _branch_cut,
+    _eigvals,
     _ldexp,
     _not_normal,
     _spectral_map,
@@ -99,13 +100,14 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     D ~ 0 counts as nonneg (both square-root branches coincide there).
     Raises IndefiniteError when eigenvalues of both signs exceed the band.
     """
-    return _sign_case(as_matrix(D, "D"), 0, tol)
+    D = as_matrix(D, "D")
+    return _sign_case(D, hermitian_eigvals(D, tol), 0, tol)
 
 
-def _sign_case(D: np.ndarray, e: int, tol: Tolerances) -> str:
-    """``sign_case`` of D = Im(N / 2^e), decided on D; the IndefiniteError
-    quotes the eigenvalues of Im N itself, 2^e times those of D."""
-    lam = hermitian_eigvals(D, tol)
+def _sign_case(D: np.ndarray, lam: np.ndarray, e: int, tol: Tolerances) -> str:
+    """``sign_case`` of D = Im(N / 2^e), decided on D and its eigenvalues lam
+    (ascending); the IndefiniteError quotes the eigenvalues of Im N itself,
+    2^e times those of D."""
     band = tol.structural * (1.0 + fro(D))
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
@@ -146,7 +148,8 @@ def _signdef_case_and_root(N, tol: Tolerances) -> tuple[str, RootCertificate]:
     with _quoting_defect_of(N):
         require_normal(S, tol, "N")
     parts = cartesian_parts(S)
-    case = _sign_case(parts.im, e, tol)
+    # Im S is finite and exactly Hermitian, so the unchecked core solves it.
+    case = _sign_case(parts.im, _eigvals(parts.im), e, tol)
     absn = abs_op(S, tol)
     A = psd_root(0.5 * (absn + parts.re), 2, tol)
     B = psd_root(0.5 * (absn - parts.re), 2, tol)

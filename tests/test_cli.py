@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +398,22 @@ def test_cli_non_ascii_matrix_exits_1(tmp_path, capsys):
     assert main(["sqrt", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err == f"normalroots: {bad}: non-ASCII byte 0xe9 at offset 5\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_cli_records_the_digest_of_piped_input(tmp_path):
+    # A pipe can be read only once: the recorded digest is that of the bytes
+    # the matrix was parsed from, not of a second, empty read.
+    data = format_matrix(np.diag([4.0, 1j])).encode("ascii")
+    rpt = tmp_path / "r.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "normalroots.cli", "sqrt", "/dev/stdin", "--json", str(rpt)],
+        input=data, capture_output=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _read_report(rpt)["inputs"] == {"/dev/stdin": hashlib.sha256(data).hexdigest()}
 
 
 def test_cli_directory_as_matrix_exits_1(tmp_path, capsys):

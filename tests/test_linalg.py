@@ -506,6 +506,17 @@ def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller
     assert calls == {"hermitian_eigen": 0, "hermitian_eigvals": values}
 
 
+def test_sqrt_signdef_eigensolve_count(monkeypatch):
+    # |N| and the two psd roots take vector solves; the sign case takes the
+    # values core on Im N, which is exactly Hermitian by construction.
+    from normalroots import roots
+
+    N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
+    calls = _count_solves(monkeypatch)
+    roots.sqrt_signdef(N)
+    assert calls == {"hermitian_eigen": 3, "hermitian_eigvals": 1}
+
+
 # --- hermitian_eigen_batch --------------------------------------------------
 
 
@@ -563,6 +574,48 @@ def test_eigen_batch_rejects_bad_member(rng):
         hermitian_eigen_batch(np.eye(3))
     with pytest.raises(LinalgError):
         hermitian_eigen_batch(np.full((1, 2, 2), np.nan))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_require_hermitian_on_a_stack_is_member_by_member(rng):
+    from normalroots.linalg import require_hermitian
+
+    tol = Tolerances()
+    # Hermitian within tolerance, not exactly, so symmetrising changes bits.
+    H = np.stack([random_hermitian(rng, 4) + 1e-13 * random_dense(rng, 4) for _ in range(3)])
+    alone = np.stack([require_hermitian(h, tol, "H") for h in H])
+    assert _same_bits(require_hermitian(H, tol, "H"), alone)
+    for bad in ([0], [2], [1, 2]):
+        J = H.copy()
+        J[bad, 0, 1] += 1.0
+        message = rf"^H\[{bad[0]}\] is not Hermitian: defect 1\.41\de\+00$"
+        with pytest.raises(NotHermitianError, match=message):
+            require_hermitian(J, tol, "H")
+        with pytest.raises(NotHermitianError, match=message):
+            hermitian_eigen_batch(J)
+    with pytest.raises(NotHermitianError, match=r"^H is not Hermitian: defect 1\.414e\+00$"):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), tol, "H")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8),
+       st.lists(st.integers(-600, 600), min_size=2, max_size=3), st.booleans())
+def test_eigen_batch_member_gets_what_it_gets_alone(seed, n, ks, real):
+    # Each member has its own exponent, threshold and skip rule and stops on
+    # its own, so the stack changes none of its bits.
+    rng = np.random.default_rng(seed)
+    H = np.stack([random_hermitian(rng, n) * 2.0 ** k for k in ks])
+    if real:
+        H = H.real.astype(complex)
+    stacked = hermitian_eigen_batch(H)
+    for b in range(len(ks)):
+        alone = hermitian_eigen_batch(H[b:b + 1])
+        assert _same_bits(stacked.eigenvalues[b], alone.eigenvalues[0])
+        assert _same_bits(stacked.vectors[b], alone.vectors[0])
 
 
 # --- psd_root / abs_op ------------------------------------------------------
