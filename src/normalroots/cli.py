@@ -35,7 +35,7 @@ from .linalg import (
     operator_norm,
 )
 from .matio import MatrixFormatError, parse_matrix, save_matrix
-from .roots import _signdef_case_and_root, nth_root, spectral_sqrt
+from .roots import _signdef_chain, nth_root, spectral_sqrt
 from .theoremlab import (
     SylvesterProblem,
     check_zero_square,
@@ -195,7 +195,7 @@ def _run_sqrt(args, tol, inputs, spectral: bool):
         cert = spectral_sqrt(N, tol)
         results = _certificate_dict(cert)
     else:
-        case, cert = _signdef_case_and_root(N, tol)
+        case, cert = _signdef_chain(N, 1, tol)
         results = _certificate_dict(cert)
         results["sign_case"] = case
     if args.out:

@@ -707,21 +707,28 @@ def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.where((mu.real < 0) & (np.abs(mu.imag) <= snap), mu.real.astype(complex), mu)
 
 
-def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unique positive semidefinite nth root of a psd matrix.
+def _psd_eigen(P: np.ndarray, tol: Tolerances) -> HermitianEigen:
+    """Eigenpairs of a psd matrix, the eigenvalues clamped to 0 from below.
 
-    Eigenvalues in [-structural*(1+||P||_F), 0) are treated as rounding noise
-    and clamped to 0; anything more negative raises IndefiniteError.
+    Eigenvalues in [-structural*(1+||P||_F), 0) are treated as rounding noise;
+    anything more negative raises IndefiniteError.  ``psd_root`` (and so
+    ``abs_op``) and ``roots.sqrt_signdef`` take their psd eigenpairs here.
     """
+    eig = hermitian_eigen(P, tol)
+    lam_min = float(eig.eigenvalues[0])
+    if lam_min < -tol.structural * (1.0 + fro(P)):
+        raise IndefiniteError(f"matrix is not psd: lambda_min = {lam_min:.3e}")
+    return HermitianEigen(np.clip(eig.eigenvalues, 0.0, None), eig.vectors)
+
+
+def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Unique positive semidefinite nth root of a psd matrix (``_psd_eigen``
+    clamps its rounding noise)."""
     P = as_matrix(P, "P")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("root order n must be a positive integer")
-    eig = hermitian_eigen(P, tol)
-    scale = 1.0 + fro(P)
-    lam_min = float(eig.eigenvalues[0])
-    if lam_min < -tol.structural * scale:
-        raise IndefiniteError(f"matrix is not psd: lambda_min = {lam_min:.3e}")
-    return _spectral_map(eig.vectors, np.clip(eig.eigenvalues, 0.0, None) ** (1.0 / n))
+    eig = _psd_eigen(P, tol)
+    return _spectral_map(eig.vectors, eig.eigenvalues ** (1.0 / n))
 
 
 def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 Three constructions, plus a spectral oracle:
 
-* sqrt_signdef -- explicit normal square root of N = C + iD when the
-  imaginary part D is sign-definite, built from psd roots of (|N| +- C)/2.
+* sqrt_signdef -- explicit normal square root A +- iB of N = C + iD when
+  the imaginary part D is sign-definite, A and B the psd roots of
+  (|N| +- C)/2, computed from S = A + B = (|N| +- D)^{1/2} and A - B =
+  S^+ C so that nothing cancels: two vector eigensolves.
 * root_pow2n   -- 2^n-th root by iterating sqrt_signdef; every intermediate
-  has a sign-definite imaginary part by construction.
+  has a sign-definite imaginary part by construction, and |N| is factorized
+  once for the chain: n + 1 vector eigensolves.
 * nth_root     -- nth root of any normal N via the commuting polar form,
   |N|^{1/n} e^{i(A + 2k pi I)/n}, one root per branch integer k.
 * spectral_sqrt -- principal square root applied eigenvalue-wise; serves as
@@ -24,13 +27,15 @@ from .linalg import (
     IndefiniteError,
     NotNormalError,
     Tolerances,
+    _adj,
     _branch_cut,
     _eigvals,
     _ldexp,
+    _noise_floor,
     _not_normal,
+    _psd_eigen,
     _spectral_map,
     _unit_scale,
-    abs_op,
     as_matrix,
     cartesian_parts,
     expi,
@@ -59,7 +64,8 @@ __all__ = [
 class RootCertificate:
     """A computed root together with its quality metrics.
 
-    power_residual   = ||root^order - target||_F / (1 + ||target||_F)
+    power_residual   = ||R^k - T||_F / max(||T||_F, ||R^k||_F), R = root,
+                       T = target, k = order (0 when R^k = T, at most 2)
     normality_defect = ||root* root - root root*||_F / (1 + ||root||_F^2)
     branch is the integer k of the nth-root construction (0 otherwise).
     """
@@ -84,14 +90,52 @@ def verify_root(root, target, order: int) -> RootCertificate:
         raise ValueError("root and target dimensions differ")
     if not (isinstance(order, (int, np.integer)) and order >= 1):
         raise ValueError("order must be a positive integer")
-    power = np.linalg.matrix_power(root, int(order))
+    k = int(order)
+    # R^k = P 2^p and T = T' 2^t, each peaking in [1/2, 1) (``_scaled_power``,
+    # ``_unit_scale``), so no order over- or underflows; the one with the
+    # smaller exponent is shifted down onto the other's scale, where entries
+    # that flush to 0 lie below 2^-1074 of its peak (a shift past -2 top,
+    # top the largest float exponent, flushes every float and is capped
+    # there so that numpy's integer exponents stay in range).  2^m R against
+    # 2^(mk) T gives the same residual bit for bit.  The divisor is ||R^k||_F,
+    # not ||R||_F^k, which exceeds it up to n^((k-1)/2)-fold for a normal R
+    # and would pass wrong roots of high order.
+    P, p = _scaled_power(root, k)
+    T, t = _unit_scale(target)
+    if not target.any():
+        t = p
+    elif not P.any():
+        p = t
+    m, floor = max(p, t), -2 * (np.finfo(float).maxexp - 1)
+    power, T = _ldexp(P, max(p - m, floor)), _ldexp(T, max(t - m, floor))
+    gap = fro(power - T)
     return RootCertificate(
         root=root,
-        order=int(order),
+        order=k,
         branch=0,
-        power_residual=fro(power - target) / (1.0 + fro(target)),
+        power_residual=gap / max(fro(T), fro(power)) if gap else 0.0,
         normality_defect=normality_defect(root),
     )
+
+
+def _scaled_power(M: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """(P, p) with M^k = P 2^p, by binary powering with every factor and
+    product rescaled to peak in [1/2, 1) (``_unit_scale``, exact); the
+    exponents are Python integers, so any order k >= 1 stays in range."""
+    base, b = _unit_scale(M)
+    P, p = None, 0
+    while True:
+        if k & 1:
+            if P is None:
+                P, p = base, b
+            else:
+                P, e = _unit_scale(P @ base)
+                p += e + b
+        k >>= 1
+        if not k:
+            return P, p
+        base, e = _unit_scale(base @ base)
+        b = 2 * b + e
 
 
 def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
@@ -134,43 +178,71 @@ def _quoting_defect_of(N):
 def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """Normal square root of a normal N whose imaginary part is sign-definite.
 
-    With C = Re N, A = ((|N|+C)/2)^{1/2}, B = ((|N|-C)/2)^{1/2}, the root is
-    A + iB when Im N >= 0 and A - iB when Im N <= 0, all taken on
-    N / 4^j (``linalg._unit_scale``) and scaled back by 2^j.
+    With N = C + iD and s = +1 when D >= 0, -1 when D <= 0, the root is
+    A + isB for the commuting psd A = ((|N|+C)/2)^{1/2}, B = ((|N|-C)/2)^{1/2}.
+    It is built without forming |N| -+ C, whose small eigenvalues are
+    cancellation: S = A + B = (|N| + sD)^{1/2} has eigenvalues (|z| +
+    |Im z|)^{1/2}, A - B = S^+ C, so A = (S + S^+ C)/2 and B = (S - S^+ C)/2.
+    Two vector eigensolves (|N| and S, never N itself, so the construction
+    stays independent of ``spectral_sqrt``), all on N / 4^j
+    (``linalg._unit_scale``) and scaled back by 2^j.
     """
-    return _signdef_case_and_root(N, tol)[1]
-
-
-def _signdef_case_and_root(N, tol: Tolerances) -> tuple[str, RootCertificate]:
-    """``sqrt_signdef``'s certificate and the sign case its normalised N took."""
-    N = as_matrix(N, "N")
-    S, e = _unit_scale(N, step=2)
-    with _quoting_defect_of(N):
-        require_normal(S, tol, "N")
-    parts = cartesian_parts(S)
-    # Im S is finite and exactly Hermitian, so the unchecked core solves it.
-    case = _sign_case(parts.im, _eigvals(parts.im), e, tol)
-    absn = abs_op(S, tol)
-    A = psd_root(0.5 * (absn + parts.re), 2, tol)
-    B = psd_root(0.5 * (absn - parts.re), 2, tol)
-    root = A + 1j * B if case == "nonneg" else A - 1j * B
-    return case, verify_root(_ldexp(root, e // 2), N, 2)
+    return _signdef_chain(N, 1, tol)[1]
 
 
 def root_pow2n(N, n: int, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
-    """Root of order 2^n by iterated sign-definite square roots.
+    """Root of order 2^n by n sign-definite square roots (``sqrt_signdef``).
 
-    Each intermediate has imaginary part +-((|S|-Re S)/2)^{1/2}, which is
-    sign-definite by construction; sqrt_signdef re-checks this at every
-    stage rather than assuming it.
+    Each intermediate root R has imaginary part +-B, sign-definite by
+    construction; every stage re-checks normality and the sign case rather
+    than assuming them.  R is normal with R*R = |N|, so |R| = |N|^{1/2}:
+    |N| is factorized once, and the chain makes n + 1 vector eigensolves.
+    """
+    return _signdef_chain(N, n, tol)[1]
+
+
+def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
+    """The sign case of N and the certificate of its 2^n-th root, by n
+    square roots of ``sqrt_signdef``.
+
+    Stage j normalises its input R_j (R_0 = N) to X = R_j / 4^t
+    (``linalg._unit_scale``) and scales the square root of X back by 2^t.
+    |X| = W diag(sigma) W*: the first stage factorizes it, and each later
+    one takes the square root of the last sigma times the power of two
+    between the two scales, since |R_{j+1}| = |R_j|^{1/2}.  S^+ counts the
+    eigenvalues of S^2 at or below ``linalg._noise_floor`` as 0: there z = 0
+    up to rounding, and so is C.
     """
     N = as_matrix(N, "N")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("n must be a positive integer")
     current = N
-    for _ in range(int(n)):
-        current = sqrt_signdef(current, tol).root
-    return verify_root(current, N, 2 ** int(n))
+    for stage in range(int(n)):
+        X, e = _unit_scale(current, step=2)
+        with _quoting_defect_of(current):
+            require_normal(X, tol, "N")
+        parts = cartesian_parts(X)
+        # Im X is finite and exactly Hermitian, so the unchecked core solves it.
+        sign = _sign_case(parts.im, _eigvals(parts.im), e, tol)
+        if stage == 0:
+            case = sign
+            absx = _psd_eigen(_adj(X) @ X, tol)
+            W, sigma = absx.vectors, np.sqrt(absx.eigenvalues)
+        else:
+            sigma = _ldexp(np.sqrt(sigma), half - e)
+        s = 1.0 if sign == "nonneg" else -1.0
+        eig = _psd_eigen(_spectral_map(W, sigma) + s * parts.im, tol)
+        U, tau = eig.vectors, eig.eigenvalues
+        root_tau = np.sqrt(tau)
+        inv = np.divide(1.0, root_tau, out=np.zeros_like(tau), where=tau > _noise_floor(tau))
+        # On S's eigenbasis: A + B = S, and A - B = S^+ C made Hermitian
+        # (S^+ and C commute).
+        plus = np.diag(root_tau)
+        minus = 0.5 * (inv[:, None] + inv) * (_adj(U) @ parts.re @ U)
+        root = U @ (0.5 * (plus + minus) + 0.5j * s * (plus - minus)) @ _adj(U)
+        half = e // 2
+        current = _ldexp(root, half)
+    return case, verify_root(current, N, 2 ** int(n))
 
 
 def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:

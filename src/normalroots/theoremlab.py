@@ -201,19 +201,22 @@ def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
     (Weyl), so between samples at distance w it stays below
     (f_a + f_b)/2 + L w/2 (Piyavskii 1972; Shubert 1972).  Each round solves
     the midpoints of the intervals whose bound exceeds the band, until a
-    sample exceeds it or no bound does (decided).  The zoom works in the
+    sample exceeds it, no bound does, or 0 lies deeper than the band inside
+    the polygon of the support points sampled so far, which by convexity
+    lies in W(M) (each of these decides the search).  The zoom works in the
     eigenbasis V of the best angle so far, where the stacked matrices are
     nearly diagonal.  Where 0 is outside W(M) the margin is unimodal, so its
     maximum stays inside the best sample's neighbours and every bracket.
     """
-    L = fro(A + 1j * B)
+    M = A + 1j * B
+    L = fro(M)
     thetas = np.linspace(0.0, 2.0 * np.pi, _SEARCH_ANGLES, endpoint=False)
     f, X, V = _rotated_min(A, B, thetas, tol)
     V = V[int(np.argmax(f))]
     for rounds in range(_SEARCH_ROUNDS + 1):
         width = np.diff(thetas, append=2.0 * np.pi)
         open_ = np.flatnonzero(0.5 * (f + np.roll(f, -1) + L * width) > band)
-        decided = f.max() > band or open_.size == 0
+        decided = f.max() > band or open_.size == 0 or _polygon_holds_zero(M, X, band)
         if decided or rounds == _SEARCH_ROUNDS or len(thetas) + open_.size > _SEARCH_MAX_ANGLES:
             break
         mids = thetas[open_] + 0.5 * width[open_]
@@ -236,6 +239,17 @@ def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
         V = V @ W[i]
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_ANGLES - 1)]
     return thetas, X, decided, best_theta, best_margin
+
+
+def _polygon_holds_zero(M: np.ndarray, X: np.ndarray, band: float) -> bool:
+    """Whether 0 lies more than band inside every edge of the polygon of the
+    support points w_j = <M x_j, x_j>, which run clockwise in angle order, so
+    that W(M) is to the right of each edge w_j -> w_{j+1}."""
+    w = np.einsum("ki,ij,kj->k", X.conj(), M, X)
+    d = np.roll(w, -1) - w
+    length = np.abs(d)
+    edge = length > 0.0
+    return bool(edge.any() and np.all((d.conj() * w).imag[edge] > band * length[edge]))
 
 
 def _quadratic_form(M: np.ndarray, x: np.ndarray) -> complex:

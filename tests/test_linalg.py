@@ -507,14 +507,26 @@ def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller
 
 
 def test_sqrt_signdef_eigensolve_count(monkeypatch):
-    # |N| and the two psd roots take vector solves; the sign case takes the
-    # values core on Im N, which is exactly Hermitian by construction.
+    # |N| and S = (|N| + sD)^{1/2} take vector solves; the sign case takes
+    # the values core on Im N, which is exactly Hermitian by construction.
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
     calls = _count_solves(monkeypatch)
     roots.sqrt_signdef(N)
-    assert calls == {"hermitian_eigen": 3, "hermitian_eigvals": 1}
+    assert calls == {"hermitian_eigen": 2, "hermitian_eigvals": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_root_pow2n_eigensolve_count(monkeypatch, n):
+    # |N| is factorized once for the whole chain; each stage adds one vector
+    # solve (its S) and one values solve (its sign case).
+    from normalroots import roots
+
+    N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
+    calls = _count_solves(monkeypatch)
+    roots.root_pow2n(N, n)
+    assert calls == {"hermitian_eigen": n + 1, "hermitian_eigvals": n}
 
 
 # --- hermitian_eigen_batch --------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normalroots import linalg
-from normalroots.linalg import IndefiniteError, NotNormalError, fro
+from normalroots import roots as roots_module
+from normalroots.linalg import DEFAULT_TOL, IndefiniteError, NotNormalError, fro
 from normalroots.roots import (
     nth_root,
     root_pow2n,
@@ -12,7 +13,7 @@ from normalroots.roots import (
     sqrt_signdef,
     verify_root,
 )
-from normalroots.sampling import random_normal, random_normal_signdef, random_unitary
+from normalroots.sampling import random_normal, random_normal_signdef, random_psd, random_unitary
 
 
 # --- sign_case ---------------------------------------------------------------
@@ -80,6 +81,80 @@ def test_sqrt_conjugate_symmetry(rng):
     direct = sqrt_signdef(N).root
     via_adjoint = sqrt_signdef(N.conj().T).root.conj().T
     assert fro(direct - via_adjoint) <= 1e-9 * (1.0 + fro(N))
+
+
+def _signdef_input(seed, d, sign, fixed=()):
+    """N = Q diag(mu) Q* with Im N sign-definite, mu starting with fixed, and
+    its Cartesian root Q diag(a + isb) Q*, a, b = sqrt((|mu| +- Re mu)/2)."""
+    rng = np.random.default_rng(seed)
+    s = 1.0 if sign == "nonneg" else -1.0
+    mu = rng.uniform(0.2, 3.0, d) * np.exp(1j * s * rng.uniform(0.0, np.pi, d))
+    mu[:len(fixed)] = fixed
+    Q = random_unitary(rng, d)
+    mods = np.abs(mu)
+    root = np.sqrt((mods + mu.real) / 2) + 1j * s * np.sqrt((mods - mu.real) / 2)
+    return (Q * mu) @ Q.conj().T, (Q * root) @ Q.conj().T
+
+
+def _forward_error(cert, expected):
+    return fro(cert.root - expected) / fro(expected)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_sqrt_of_positive_definite_matches_eigh(d):
+    # Im N = 0: the formula ((|N| - C)/2)^{1/2} took the root of pure
+    # rounding here (forward error 1e-7).  What is left is |N|, which squares
+    # N: Jacobi's stop rule leaves up to 1e-13 ||N*N||_F off the diagonal
+    # (worst 5.5e-13 over 200 seeds; 3e-15 with eigh in its place).
+    for seed in range(20):
+        P = random_psd(np.random.default_rng(seed), d) + 0.5 * np.eye(d)
+        lam, V = np.linalg.eigh(P)
+        cert = sqrt_signdef(P)
+        assert _forward_error(cert, (V * np.sqrt(lam)) @ V.conj().T) <= 1e-12
+        assert cert.power_residual <= DEFAULT_TOL.residual
+
+
+@pytest.mark.parametrize("sign", ["nonneg", "nonpos"])
+@pytest.mark.parametrize("axis", [1.0, -1.0])
+def test_sqrt_with_eigenvalues_on_the_real_axis(sign, axis):
+    # 30% of the eigenvalues on one half of the real axis, where |z| -+ Re z
+    # vanishes for the old formula (forward error 1e-8 to 3e-8).
+    for seed in range(20):
+        d = 3 + seed % 6
+        fixed = axis * np.random.default_rng(seed + 100).uniform(0.2, 3.0, round(0.3 * d))
+        N, expected = _signdef_input(seed, d, sign, fixed)
+        assert _forward_error(sqrt_signdef(N), expected) <= 1e-12
+
+
+@pytest.mark.parametrize("fixed, forward, residual", [
+    # Bounds: the worst of (|N| + C)/2, (|N| - C)/2 roots on these inputs
+    # (6.07e-5 / 5.78e-9 and 5.00e-5 / 3.72e-9), rounded up; the cancellation-
+    # free construction reads 4.29e-5 / 2.89e-9 and 1.47e-5 / 1.86e-9.
+    ((0.0, 0.0), 6.1e-5, 5.8e-9),
+    ((1e-8j,), 5.1e-5, 3.8e-9),
+], ids=["singular", "1e-8i"])
+def test_sqrt_near_singular_no_worse_than_the_cancelling_formula(fixed, forward, residual):
+    # |N| squares N, so a zero eigenvalue of N keeps only about sqrt(eps)
+    # of S; S^+ drops the eigenvalues of S^2 within rounding noise of 0.
+    for seed in range(20):
+        sign = ("nonneg", "nonpos")[seed % 2]
+        fix = [z if sign == "nonneg" else np.conj(z) for z in fixed]
+        N, expected = _signdef_input(seed, 6 - len(fixed) % 2, sign, fix)
+        cert = sqrt_signdef(N)
+        assert _forward_error(cert, expected) <= forward
+        assert cert.power_residual <= residual
+
+
+def test_cartesian_roots_never_diagonalize_n(monkeypatch):
+    # sqrt_signdef must stay independent of its oracle spectral_sqrt.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("normal_eigen called")
+
+    monkeypatch.setattr(linalg, "normal_eigen", forbidden)
+    monkeypatch.setattr(roots_module, "normal_eigen", forbidden)
+    N, _ = random_normal_signdef(np.random.default_rng(4), 5, "nonpos")
+    assert sqrt_signdef(N).power_residual <= 1e-12
+    assert root_pow2n(N, 3).power_residual <= 1e-12
 
 
 # --- root_pow2n --------------------------------------------------------------
@@ -357,6 +432,46 @@ def test_verify_root_nilpotent_reports_defect():
     cert = verify_root([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), 2)
     assert cert.power_residual == 0.0
     assert cert.normality_defect > 0.0
+
+
+def test_verify_root_residual_is_relative():
+    # A wrong root at 2^-249: divided by 1 + ||target||, the residual read
+    # 6.1e-150.
+    cert = verify_root(2.0**-249 * np.diag([1.0, 3.0]), 2.0**-498 * np.diag([1.0, 4.0]), 2)
+    assert cert.power_residual > 0.1
+
+
+@pytest.mark.parametrize("k", [-200, 200])
+def test_power_residual_is_scale_invariant(k):
+    N, _ = random_normal_signdef(np.random.default_rng(31), 5, "nonneg")
+    ref = sqrt_signdef(N).power_residual
+    assert 0.0 < ref <= 1e-13
+    assert sqrt_signdef(_ldexp(N, 2 * k)).power_residual == ref
+
+
+@pytest.mark.parametrize("n", [70, 500])
+def test_power_residual_sees_a_wrong_root_of_high_order(n):
+    # Divided by ||R||_F^n, a correct d4 root of order 70 read 8e-35; with
+    # R scaled to unit norm, R^300 underflowed in fro's sums of squares and
+    # any root read 0.
+    N, _ = random_normal(np.random.default_rng(3), 4)
+    cert = nth_root(N, n)
+    assert cert.power_residual <= 1e-12
+    assert verify_root(cert.root * (1 + 1e-3), N, n).power_residual > 1e-2
+
+
+def test_power_residual_past_the_float_range():
+    # R^k and T scaled into one float range (R / 2^j, T / 2^(jk)) both flush
+    # to 0 at order 1100, and these wrong roots would read 0.0.
+    two = 2.0 * np.eye(2)
+    assert verify_root(np.zeros((2, 2)), two, 1100).power_residual == 1.0
+    assert verify_root(1000.0 * np.eye(2), two, 1100).power_residual == 1.0
+    assert verify_root(np.eye(2), two, 1100).power_residual == 0.5
+    assert verify_root(2.0 ** (1 / 1100) * np.eye(2), two, 1100).power_residual <= 1e-12
+    N, _ = random_normal(np.random.default_rng(3), 4)
+    cert = nth_root(N, 1100)
+    assert cert.power_residual <= 1e-12
+    assert verify_root(cert.root * (1 + 1e-3), N, 1100).power_residual > 0.5
 
 
 def test_verify_root_shape_mismatch():

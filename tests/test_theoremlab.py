@@ -451,6 +451,23 @@ def test_range_eigensolve_count(monkeypatch, rng):
     assert calls == {"batch": 7, "serial": 0}
 
 
+def test_range_search_stops_once_the_support_polygon_holds_zero(monkeypatch):
+    # Margin -1e-6 ||M||_2: the Lipschitz bound keeps intervals open near the
+    # maximum of lambda_min until the 4096-angle cap (21 and 22 stacked
+    # calls), but the sampled support points hold 0 long before.
+    J = np.array([[0.5 - 1e-6, 1.0], [0.0, 0.5 - 1e-6]])
+    G = random_dense(np.random.default_rng(6), 4)
+    thetas, lam = _dense_lambda_min(G)
+    k = int(np.argmax(lam))
+    near = G - (lam[k] + 1e-6 * np.linalg.norm(G, 2)) * np.exp(-1j * thetas[k]) * np.eye(4)
+    calls = _count_solves(monkeypatch)
+    for M, count in ((J, 7), (near, 12)):
+        calls["batch"] = 0
+        rc = numerical_range_contains_zero(M)
+        assert rc.contains_zero and not rc.indeterminate
+        assert calls["batch"] == count
+
+
 def _range_campaign_inputs(seed, count):
     # The inputs of test_range_seeded_campaign (which uses seed 1801): even j
     # traceless (0 in W(M)), odd j shifted past ||G||_2 (0 not in W(M)).
