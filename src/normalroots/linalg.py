@@ -46,7 +46,9 @@ eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``
 
 Every power-of-two exponent in the package comes from ``_unit_scale``, and
 all three eigensolvers work on its exactly scaled matrix A, so 2^k H gives
-exactly 2^k times the eigenvalues of H.
+exactly 2^k times the eigenvalues of H.  Every structural and residual
+verdict in the package is one relative rule on the unit-scaled input,
+``_band``, so 2^k X gets the verdicts of X.
 
 The two Jacobi engines differ only in the order of their rotations and in
 the angle rule (each engine's docstring); everything else is one contract,
@@ -141,9 +143,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Scaled tolerances used by every structural and residual test.
+    """Relative tolerances: a defect that scales like X^k is negligible when
+    at most tol ||X||_F^k (``_band``).
 
-    structural: Hermitian/normal/psd/unitary membership tests.
+    structural: membership tests and spectral gaps (unitary: structural * n).
     residual:   reconstruction and root-power residuals.
     The Jacobi stop rule is relative and fixed (``_JACOBI_TOL``).
     """
@@ -195,18 +198,23 @@ class MatrixFlags:
     zero: bool
 
 
+# ``fro`` recomputes a norm below this: entries under 2^-511 square to subnormals.
+_FRO_UNDERFLOW = 2.0 ** -500
+
+
 def fro(M: np.ndarray):
     """Frobenius norm of a matrix (a float), or of each matrix of a stack
     (..., n, n) (an array).
 
-    A norm that overflows on finite entries is recomputed on the matrix
-    scaled by an exact power of two, so it is inf only when the true norm is.
+    A norm that overflows on finite entries, or that falls below 2^-500 on a
+    nonzero matrix, is recomputed on the matrix scaled by an exact power of
+    two, so it is inf only when the true norm is and 0 only for M = 0.
     """
     M = np.asarray(M)
     if M.ndim > 2:
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(M, axis=(-2, -1))
-        overflow = np.isinf(norm).any()
+        rescale = (np.isinf(norm) | (norm < _FRO_UNDERFLOW)).any()
     else:
         # vdot takes np.linalg.norm's sum of squares, bit for bit; past
         # 10 000 entries OpenBLAS threads it (a stall of milliseconds under
@@ -220,8 +228,8 @@ def fro(M: np.ndarray):
             norm = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
         else:
             norm = math.sqrt(np.vdot(x, x))
-        overflow = norm == math.inf
-    if overflow and np.isfinite(M).all():
+        rescale = norm == math.inf or norm < _FRO_UNDERFLOW
+    if rescale and M.any() and np.isfinite(M).all():
         S, e = _unit_scale(M)
         norm = _ldexp(np.linalg.norm(S, axis=(-2, -1)), e)
     return norm
@@ -242,10 +250,6 @@ def _adj(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def hermitian_defect(M: np.ndarray) -> float:
-    return fro(M - _adj(M))
-
-
 def _ldexp(M, e):
     """M * 2^e, exact, for a real or complex array, or a float (returned as
     a float); inf where it overflows, without a warning."""
@@ -260,18 +264,18 @@ def _ldexp(M, e):
         return np.ldexp(M, e) if np.ndim(M) else float(np.ldexp(M, e))
 
 
-def _unit_scale(M: np.ndarray, step: int = 1, down_only: bool = False):
+def _unit_scale(M: np.ndarray, step: int = 1):
     """(M / 2^e, e), 2^e the power of two just above the largest |Re| or |Im|
     entry of M (e = 0 for zero), or the largest multiple of step at or below
     it, so that M / 2^e peaks at 1/2 or more and a root of order step scales
     back by 2^(e / step); e = 0 where M / 2^e would reach 2^511 (step > 511
-    on tiny M), and e >= 0 if down_only.  A stack (..., n, n) gets an
-    integer array, one exponent per member.
+    on tiny M).  A stack (..., n, n) gets an integer array, one exponent per
+    member.
 
     The scaling is exact: sums and products of M / 2^e are those of M times
     a power of two, rounding included, except where M's own would overflow
-    or underflow, and 2^k M gets exponent e + k.  A floor 1 + ||M||^k reads
-    2^(-k e) + ||M / 2^e||^k, which down_only keeps finite.
+    or underflow, and 2^k M gets exponent e + k.  Every test of ``_band`` is
+    taken on M / 2^e, where no power of ||M / 2^e||_F leaves the float range.
     """
     M = np.asarray(M)
     cplx = M.dtype.kind == "c"
@@ -282,35 +286,42 @@ def _unit_scale(M: np.ndarray, step: int = 1, down_only: bool = False):
     top = math.frexp(peak)[1] if M.ndim == 2 else np.frexp(peak)[1]
     rem = top % step
     e = (top - rem) * (rem < 512)
-    if down_only:
-        e = e * (e > 0)
     # M / 2^e peaks below 1 (or e = 0), so it cannot overflow.
     S = np.ldexp(x, -e if M.ndim == 2 else -e[..., None, None])
     return (S.view(complex) if cplx else S), e
 
 
-def _normality(M: np.ndarray) -> tuple[float, float]:
-    """||M*M - MM*||_F, and the same over 1 + ||M||_F^2.
+def _band(norm, rtol: float, k: int = 1):
+    """rtol norm^k: every structural and residual verdict asks whether a
+    defect that scales like X^k is at most this, norm = ||X||_F of the matrix
+    X the caller passed (never a part derived from it), both taken on the
+    unit-scaled X (``_unit_scale``).  No absolute floor: X = 0 is exact."""
+    return rtol * norm ** k
 
-    Both are taken on M / 2^e (``_unit_scale``, e >= 0) and scaled back
-    exactly, so no square overflows on finite M.
-    """
-    S, e = _unit_scale(np.asarray(M, dtype=complex), down_only=True)
-    gap = fro(_adj(S) @ S - S @ _adj(S))
-    return _ldexp(gap, 2 * e), gap / (math.ldexp(1.0, -2 * e) + fro(S) ** 2)
+
+def _normality(M: np.ndarray) -> tuple[float, float]:
+    """(||S*S - SS*||_F, ||S||_F) for S = M / 2^e (``_unit_scale``)."""
+    S, _ = _unit_scale(np.asarray(M, dtype=complex))
+    return fro(_adj(S) @ S - S @ _adj(S)), fro(S)
 
 
 def normality_defect(M: np.ndarray) -> float:
-    """Scaled commutation defect ||M*M - MM*||_F / (1 + ||M||_F^2)."""
-    return _normality(M)[1]
+    """Relative commutation defect ||M*M - MM*||_F / ||M||_F^2 (0 for M = 0),
+    the same for every 2^k M."""
+    gap, norm = _normality(M)
+    return gap / norm**2 if gap else 0.0
 
 
-def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return hermitian_defect(M) <= tol.structural * (1.0 + fro(M))
+def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Whether ||M - M*||_F is within the band of ||M||_F, for a matrix (a
+    bool) or for each member of a stack (an array)."""
+    S, _ = _unit_scale(np.asarray(M))
+    return fro(S - _adj(S)) <= _band(fro(S), tol.structural)
 
 
 def is_normal(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return normality_defect(M) <= tol.structural
+    gap, norm = _normality(M)
+    return gap <= _band(norm, tol.structural, 2)
 
 
 def _is_unitary(M: np.ndarray, tol: Tolerances) -> bool:
@@ -323,24 +334,19 @@ def _is_unitary(M: np.ndarray, tol: Tolerances) -> bool:
 
 def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
     """0.5 (M + M*), for a matrix or for each member of a stack (B, n, n),
-    once each defect ||M - M*||_F is at most structural * (1 + ||M||_F);
-    else NotHermitianError names the first member that fails, as name[b]."""
-    defect = hermitian_defect(M)
-    bad = np.flatnonzero(defect > tol.structural * (1.0 + fro(M)))
+    once each passes ``is_hermitian``; else NotHermitianError names the
+    first member that fails, as name[b], with its defect ||M - M*||_F."""
+    bad = np.flatnonzero(np.logical_not(is_hermitian(M, tol)))
     if bad.size:
         b = bad[0]
-        label = f"{name}[{b}]" if M.ndim > 2 else name
-        raise NotHermitianError(f"{label} is not Hermitian: defect {np.ravel(defect)[b]:.3e}")
+        label, member = (f"{name}[{b}]", M[b]) if M.ndim > 2 else (name, M)
+        raise NotHermitianError(f"{label} is not Hermitian: defect {fro(member - _adj(member)):.3e}")
     return 0.5 * (M + _adj(M))
-
-
-def _not_normal(M: np.ndarray, name: str) -> NotNormalError:
-    return NotNormalError(f"{name} is not normal: defect {normality_defect(M):.3e}")
 
 
 def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
     if not is_normal(M, tol):
-        raise _not_normal(M, name)
+        raise NotNormalError(f"{name} is not normal: defect {normality_defect(M):.3e}")
     return M
 
 
@@ -361,8 +367,8 @@ def recompose(pair: CartesianPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return re + 1j * im
 
 
-# Jacobi's relative stopping threshold, and its sweep limit.
-_JACOBI_TOL = 1e-13
+# Jacobi's relative stopping threshold (about 2 eps), and its sweep limit.
+_JACOBI_TOL = 4e-16
 _MAX_SWEEPS = 64
 
 
@@ -710,15 +716,17 @@ def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
 def _psd_eigen(P: np.ndarray, tol: Tolerances) -> HermitianEigen:
     """Eigenpairs of a psd matrix, the eigenvalues clamped to 0 from below.
 
-    Eigenvalues in [-structural*(1+||P||_F), 0) are treated as rounding noise;
-    anything more negative raises IndefiniteError.  ``psd_root`` (and so
-    ``abs_op``) and ``roots.sqrt_signdef`` take their psd eigenpairs here.
+    Negative eigenvalues within the band of ||P||_F (``_band``, on P / 2^e)
+    are treated as rounding noise; anything more negative raises
+    IndefiniteError.  ``psd_root`` (and so ``abs_op``) and
+    ``roots.sqrt_signdef`` take their psd eigenpairs here.
     """
-    eig = hermitian_eigen(P, tol)
+    S, e = _unit_scale(P)
+    eig = hermitian_eigen(S, tol)
     lam_min = float(eig.eigenvalues[0])
-    if lam_min < -tol.structural * (1.0 + fro(P)):
-        raise IndefiniteError(f"matrix is not psd: lambda_min = {lam_min:.3e}")
-    return HermitianEigen(np.clip(eig.eigenvalues, 0.0, None), eig.vectors)
+    if -lam_min > _band(fro(S), tol.structural):
+        raise IndefiniteError(f"matrix is not psd: lambda_min = {_ldexp(lam_min, e):.3e}")
+    return HermitianEigen(_ldexp(np.clip(eig.eigenvalues, 0.0, None), e), eig.vectors)
 
 
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -769,7 +777,9 @@ def normal_eigen(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     n = N.shape[0]
     spread = float(lam[-1] - lam[0]) if n > 1 else 0.0
     gap = CLUSTER_FACTOR * (1.0 + spread)
+    # Hermitian up to rounding of ||N||, not of a cluster block's own norm.
     B = _adj(V) @ parts.im @ V
+    B = 0.5 * (B + _adj(B))
     for lo, hi in _clusters(lam, gap):
         if hi - lo < 2:
             continue
@@ -827,19 +837,20 @@ def operator_norm(M, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:
-    """Structural flags decided by scaled Frobenius tests."""
+    """Structural flags, each decided by ``_band`` on M / 2^e
+    (``_unit_scale``) except unitary; zero means M = 0 exactly."""
     M = as_matrix(M, "M")
-    norm = fro(M)
-    herm = is_hermitian(M, tol)
-    normal = is_normal(M, tol)
+    S, _ = _unit_scale(M)
+    band = _band(fro(S), tol.structural)
+    herm = is_hermitian(S, tol)
+    normal = is_normal(S, tol)
     psd = nsd = False
     if herm:
-        lam = hermitian_eigvals(M, tol)
-        band = tol.structural * (1.0 + norm)
-        psd = float(lam[0]) >= -band
+        lam = hermitian_eigvals(S, tol)
+        psd = -float(lam[0]) <= band
         nsd = float(lam[-1]) <= band
     unitary = _is_unitary(M, tol)
-    zero = norm <= tol.structural
+    zero = not M.any()
     return MatrixFlags(
         hermitian=herm, normal=normal, psd=psd, nsd=nsd, unitary=unitary, zero=zero
     )

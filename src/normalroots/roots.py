@@ -17,7 +17,6 @@ Three constructions, plus a spectral oracle:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,14 +24,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     IndefiniteError,
-    NotNormalError,
     Tolerances,
     _adj,
+    _band,
     _branch_cut,
     _eigvals,
     _ldexp,
     _noise_floor,
-    _not_normal,
     _psd_eigen,
     _spectral_map,
     _unit_scale,
@@ -66,7 +64,8 @@ class RootCertificate:
 
     power_residual   = ||R^k - T||_F / max(||T||_F, ||R^k||_F), R = root,
                        T = target, k = order (0 when R^k = T, at most 2)
-    normality_defect = ||root* root - root root*||_F / (1 + ||root||_F^2)
+    normality_defect = ||root* root - root root*||_F / ||root||_F^2 (0 for a
+                       zero root), the same for every 2^k root
     branch is the integer k of the nth-root construction (0 otherwise).
     """
 
@@ -141,18 +140,19 @@ def _scaled_power(M: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
     """Definiteness of a Hermitian matrix: 'nonneg' or 'nonpos'.
 
-    D ~ 0 counts as nonneg (both square-root branches coincide there).
-    Raises IndefiniteError when eigenvalues of both signs exceed the band.
+    D = 0 counts as nonneg (both square-root branches coincide there).
+    Raises IndefiniteError when eigenvalues of both signs exceed the band of
+    ||D||_F (``linalg._band``), taken on D / 2^e (``linalg._unit_scale``).
     """
-    D = as_matrix(D, "D")
-    return _sign_case(D, hermitian_eigvals(D, tol), 0, tol)
+    S, e = _unit_scale(as_matrix(D, "D"))
+    return _sign_case(hermitian_eigvals(S, tol), fro(S), e, tol)
 
 
-def _sign_case(D: np.ndarray, lam: np.ndarray, e: int, tol: Tolerances) -> str:
-    """``sign_case`` of D = Im(N / 2^e), decided on D and its eigenvalues lam
-    (ascending); the IndefiniteError quotes the eigenvalues of Im N itself,
-    2^e times those of D."""
-    band = tol.structural * (1.0 + fro(D))
+def _sign_case(lam: np.ndarray, norm: float, e: int, tol: Tolerances) -> str:
+    """``sign_case`` from the eigenvalues lam (ascending) of D = Im X, X =
+    N / 2^e, against the band of ||X||_F (not of D, noise for Hermitian N);
+    the IndefiniteError quotes those of Im N itself, 2^e times lam."""
+    band = _band(norm, tol.structural)
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min >= -band:
@@ -163,16 +163,6 @@ def _sign_case(D: np.ndarray, lam: np.ndarray, e: int, tol: Tolerances) -> str:
         f"imaginary part is indefinite: lambda_min={_ldexp(lam_min, e):.3e}, "
         f"lambda_max={_ldexp(lam_max, e):.3e}"
     )
-
-
-@contextmanager
-def _quoting_defect_of(N):
-    """Normality is decided on N / 2^e, but normality_defect is not scale
-    invariant: a NotNormalError is re-raised with the defect of N itself."""
-    try:
-        yield
-    except NotNormalError:
-        raise _not_normal(N, "N") from None
 
 
 def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
@@ -219,11 +209,10 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
     current = N
     for stage in range(int(n)):
         X, e = _unit_scale(current, step=2)
-        with _quoting_defect_of(current):
-            require_normal(X, tol, "N")
+        require_normal(X, tol, "N")
         parts = cartesian_parts(X)
         # Im X is finite and exactly Hermitian, so the unchecked core solves it.
-        sign = _sign_case(parts.im, _eigvals(parts.im), e, tol)
+        sign = _sign_case(_eigvals(parts.im), fro(X), e, tol)
         if stage == 0:
             case = sign
             absx = _psd_eigen(_adj(X) @ X, tol)
@@ -261,8 +250,7 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     if not isinstance(k, (int, np.integer)):
         raise ValueError("branch k must be an integer")
     S, e = _unit_scale(N, step=int(n))
-    with _quoting_defect_of(N):
-        form = polar_normal(S, tol)
+    form = polar_normal(S, tol)
     A = unitary_log(form.unitary, tol)
     shift = (A + 2.0 * np.pi * int(k) * np.eye(N.shape[0])) / int(n)
     root = psd_root(form.positive, int(n), tol) @ expi(shift, tol)
@@ -279,7 +267,6 @@ def spectral_sqrt(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     """
     N = as_matrix(N, "N")
     S, e = _unit_scale(N, step=2)
-    with _quoting_defect_of(N):
-        mu, V = normal_eigen(S, tol)
+    mu, V = normal_eigen(S, tol)
     root = _spectral_map(V, np.sqrt(_branch_cut(mu, tol)))
     return verify_root(_ldexp(root, e // 2), N, 2)

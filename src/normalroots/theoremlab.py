@@ -15,7 +15,6 @@ point of the lab is falsification with evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +23,8 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgError,
     Tolerances,
+    _adj,
+    _band,
     _eigvals,
     _normality,
     _ldexp,
@@ -78,20 +79,23 @@ class SylvesterProblem:
     s: np.ndarray
 
 
-def _spectral_gap(la, lb, norm_a: float, norm_b: float, tol: Tolerances) -> tuple[bool, float]:
-    """min |la_i - lb_j| and whether it exceeds structural * (1 + |a| + |b|)."""
+def _spectral_gap(la, lb, norm: float, tol: Tolerances) -> tuple[bool, float]:
+    """min |la_i - lb_j|, and whether it exceeds the band of norm
+    (``linalg._band``)."""
     gap = float(np.min(np.abs(np.subtract.outer(la, lb))))
-    return gap > tol.structural * (1.0 + norm_a + norm_b), gap
+    return gap > _band(norm, tol.structural), gap
 
 
 def spectra_disjoint(a, b, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether two Hermitian matrices have disjoint spectra; returns the
-    minimal eigenvalue gap alongside."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    la = hermitian_eigvals(a, tol)
-    lb = hermitian_eigvals(b, tol)
-    return _spectral_gap(la, lb, fro(a), fro(b), tol)
+    """Whether two Hermitian matrices have disjoint spectra, against the band
+    of ||a||_F + ||b||_F, taken on a / 2^e and b / 2^e for the larger
+    ``linalg._unit_scale`` factor 2^e; returns the minimal gap alongside."""
+    a, b = as_matrix(a, "a"), as_matrix(b, "b")
+    e = max(_unit_scale(a)[1], _unit_scale(b)[1])
+    a, b = _ldexp(a, -e), _ldexp(b, -e)
+    disjoint, gap = _spectral_gap(hermitian_eigvals(a, tol), hermitian_eigvals(b, tol),
+                                  fro(a) + fro(b), tol)
+    return disjoint, _ldexp(gap, e)
 
 
 def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -106,9 +110,12 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     Any other input, up to n = 32: the n^2 x n^2 system (I kron a - b^T kron
     I) vec X = vec s is solved with partial-pivoting elimination.
 
-    Intersecting spectra (gap within structural * (1 + |a|_F + |b|_F) on the
-    Hermitian path), a singular system, or a final residual above
-    residual * (1 + |s|_F) raise SingularSylvesterError.
+    SingularSylvesterError: intersecting spectra (gap within the band of
+    ||a||_F + ||b||_F, ``linalg._band``), a singular system, a normwise
+    backward error ||R||_F / ((||a||_F + ||b||_F) ||X||_F + ||s||_F) above
+    residual (Higham 2002, ch. 16), or ||s||_F / ||X||_F, a bound on sep(a,
+    b), within the gap band.  All of it runs on a / 2^e, b / 2^e and s / 2^f
+    (``linalg._unit_scale``); X is 2^(f - e) times their solution.
     """
     a = as_matrix(problem.a, "a")
     b = as_matrix(problem.b, "b")
@@ -116,13 +123,15 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     n = a.shape[0]
     if b.shape != a.shape or s.shape != a.shape:
         raise LinalgError("a, b, s must share one square dimension")
+    e, f = max(_unit_scale(a)[1], _unit_scale(b)[1]), _unit_scale(s)[1]
+    a, b, s = _ldexp(a, -e), _ldexp(b, -e), _ldexp(s, -f)
     if is_hermitian(a, tol) and is_hermitian(b, tol):
         eig = hermitian_eigen_batch(np.stack([a, b]), tol)
         (la, lb), (Va, Vb) = eig.eigenvalues, eig.vectors
-        disjoint, gap = _spectral_gap(la, lb, fro(a), fro(b), tol)
+        disjoint, gap = _spectral_gap(la, lb, fro(a) + fro(b), tol)
         if not disjoint:
             raise SingularSylvesterError(
-                f"spectra of a and b intersect (min gap {gap:.3e})"
+                f"spectra of a and b intersect (min gap {_ldexp(gap, e):.3e})"
             )
         denom = np.subtract.outer(la, lb)
 
@@ -142,11 +151,13 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
             raise SingularSylvesterError(f"singular Sylvester system: {exc}") from exc
         X = x.reshape((n, n), order="F")
     residual = fro(a @ X - X @ b - s)
-    if residual > tol.residual * (1.0 + fro(s)):
+    # A backward error alone passes the huge X of a singular system.
+    growth = (fro(a) + fro(b)) * fro(X)
+    if residual > _band(growth + fro(s), tol.residual) or fro(s) < _band(growth, tol.structural):
         raise SingularSylvesterError(
-            f"Sylvester system numerically singular: residual {residual:.3e}"
+            f"Sylvester system numerically singular: residual {_ldexp(residual, f):.3e}"
         )
-    return X
+    return _ldexp(X, f - e)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +197,8 @@ def _rotated_min(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, tol: Toleranc
     Returns the Rayleigh quotients f of the lowest eigenvectors (upper bounds
     on lambda_min), those eigenvectors (rows) and the eigenvector matrices."""
     H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
-    V = hermitian_eigen_batch(H, tol).vectors
+    # The zoom's H is Hermitian up to rounding of ||M||, not of its own norm.
+    V = hermitian_eigen_batch(0.5 * (H + _adj(H)), tol).vectors
     x = V[:, :, 0]
     f = np.einsum("ki,kij,kj->k", x.conj(), H, x).real / np.einsum("ki,ki->k", x.conj(), x).real
     return f, x, V
@@ -351,7 +363,7 @@ def numerical_range_contains_zero(M, tol: Tolerances = DEFAULT_TOL) -> RangeCert
 
 
 def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
-    band = tol.structural * (1.0 + fro(M))
+    band = _band(fro(M), tol.structural)
 
     if is_hermitian(M, tol):
         eig = hermitian_eigen(M, tol)
@@ -421,32 +433,30 @@ def classify_root_of_selfadjoint(
 
     Checks, in order: disjointness of the spectra of Re T and -Re T (forces
     T self-adjoint and invertible), then the dual on Im T (forces T skew).
-    The range hypotheses 0 not in W(Re T) / W(Im T) are implied: for a
-    Hermitian part H, a margin lambda_min > structural * (1 + ||H||_F) gives
-    spec(H) and spec(-H) a gap 2 lambda_min that passes the disjointness test.
-
-    Products are taken on T / 2^e and C / 2^(2e) (``linalg._unit_scale``) and
-    scaled back exactly; a non-finite residual fails the precondition.
+    Every test is taken on S = T / 2^e and C / 2^(2e) (``linalg._unit_scale``)
+    against the band of ||S||_F^k (``linalg._band``); the gap tests use 2
+    ||S||_F, as ``spectra_disjoint`` would.  The range hypotheses 0 not in
+    W(Re T) / W(Im T) are implied: for a Hermitian part H, a margin
+    lambda_min > structural ||T||_F gives spec(H) and spec(-H) a gap 2
+    lambda_min that passes the disjointness test.  The residuals are scaled
+    back exactly; a non-finite residual fails the precondition.
     """
     T = as_matrix(T, "T")
     C = as_matrix(C, "C")
     if T.shape != C.shape:
         raise LinalgError("T and C must share one square dimension")
     require_hermitian(C, tol, "C")
-    S, e = _unit_scale(T, down_only=True)
+    S, e = _unit_scale(T)
     D = _ldexp(C, -2 * e)
-    if not fro(S @ S - D) <= tol.residual * (math.ldexp(1.0, -2 * e) + fro(D)):
+    norm = fro(S)
+    if not fro(S @ S - D) <= _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = C fails beyond residual tolerance")
     parts = cartesian_parts(S)
-    As, Bs = parts.re, parts.im
+    A, B = parts.re, parts.im
     sys_res = (
-        _ldexp(fro(As @ As - Bs @ Bs - D), 2 * e),
-        _ldexp(fro(As @ Bs + Bs @ As), 2 * e),
+        _ldexp(fro(A @ A - B @ B - D), 2 * e),
+        _ldexp(fro(A @ B + B @ A), 2 * e),
     )
-    A, B = _ldexp(As, e), _ldexp(Bs, e)
-    scale = 1.0 + fro(T)
-    small = tol.residual * scale
-    inv_band = tol.structural * scale
 
     # Each hypothesis: evidence, case, the part whose spectrum is tested, the
     # part the conclusion forces to vanish, and the violation message.
@@ -462,15 +472,15 @@ def classify_root_of_selfadjoint(
     for evidence, case, tested, vanishing, message in hypotheses:
         # spectra_disjoint(tested, -tested) from one eigensolve.
         lam = _eigvals(tested)
-        norm = fro(tested)
-        if _spectral_gap(lam, -lam, norm, norm, tol)[0]:
+        if _spectral_gap(lam, -lam, 2.0 * norm, tol)[0]:
             residual = fro(vanishing)
             # Up to a factor i, T is tested + i vanishing, so by Weyl
             # sigma_min(T) >= min |spec(tested)| - ||vanishing||_F; T* T,
             # whose small eigenvalues sink below the eigensolver's floor, is
             # never formed.
             sigma_min = float(np.abs(lam).min()) - residual
-            ok = residual <= small and sigma_min > inv_band
+            ok = residual <= _band(norm, tol.residual) and sigma_min > _band(norm, tol.structural)
+            residual = _ldexp(residual, e)
             return ClassificationVerdict(
                 case=case,
                 evidence=evidence,
@@ -498,6 +508,7 @@ class ZeroSquareReport:
     hypotheses maps the four sign conditions on the Cartesian parts to
     'holds' / 'fails' / 'indeterminate'.  If any of them holds, T must be
     zero; otherwise a nonzero T must have indefinite Re and Im spectra.
+    conclusion_zero means T = 0 exactly.
     """
 
     norm_t: float
@@ -511,9 +522,8 @@ class ZeroSquareReport:
     violation: str | None = None
 
 
-def _sign_status(lam_min: float, lam_max: float, band: float, mode: str) -> str:
+def _sign_status(value: float, band: float) -> str:
     ind = INDETERMINATE_FACTOR * band
-    value = lam_min if mode == "psd" else -lam_max
     if value >= -band:
         return "holds"
     if value >= -ind:
@@ -524,45 +534,43 @@ def _sign_status(lam_min: float, lam_max: float, band: float, mode: str) -> str:
 def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     """Check the nilpotent (T^2 = 0) consequences on one instance.
 
-    Products are taken on S = T / 2^e (``linalg._unit_scale``) and scaled
-    back exactly, so none overflows on finite T.
+    Every test is taken on S = T / 2^e (``linalg._unit_scale``) against the
+    band of ||S||_F^k (``linalg._band``), and the norms and margins are
+    scaled back exactly (to 0 below the float range).
     """
     T = as_matrix(T, "T")
-    S, e = _unit_scale(T, down_only=True)
+    S, e = _unit_scale(T)
+    norm = fro(S)
     square = fro(S @ S)
-    if square > tol.residual * (math.ldexp(1.0, -2 * e) + fro(S) ** 2):
+    if square > _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
-    square_norm = _ldexp(square, 2 * e)
     parts = cartesian_parts(S)
-    la = np.ldexp(_eigvals(parts.re), e)
-    lb = np.ldexp(_eigvals(parts.im), e)
-    re_margins = (float(la[0]), float(la[-1]))
-    im_margins = (float(lb[0]), float(lb[-1]))
-    band = tol.structural * (1.0 + fro(T))
+    la, lb = _eigvals(parts.re), _eigvals(parts.im)
+    band = _band(norm, tol.structural)
     ind = INDETERMINATE_FACTOR * band
     hypotheses = {
-        "re_psd": _sign_status(*re_margins, band, "psd"),
-        "re_nsd": _sign_status(*re_margins, band, "nsd"),
-        "im_psd": _sign_status(*im_margins, band, "psd"),
-        "im_nsd": _sign_status(*im_margins, band, "nsd"),
+        "re_psd": _sign_status(la[0], band),
+        "re_nsd": _sign_status(-la[-1], band),
+        "im_psd": _sign_status(lb[0], band),
+        "im_nsd": _sign_status(-lb[-1], band),
     }
     norm_t = fro(T)
-    conclusion_zero = norm_t <= ind
+    conclusion_zero = norm == 0.0
     violation = None
     if any(v == "holds" for v in hypotheses.values()) and not conclusion_zero:
         violation = (
             "THEOREM VIOLATION: a sign hypothesis holds on a nonzero nilpotent "
             f"(||T|| = {norm_t:.3e}, hypotheses = {hypotheses})"
         )
-    re_indefinite = re_margins[0] < -ind and re_margins[1] > ind
-    im_indefinite = im_margins[0] < -ind and im_margins[1] > ind
+    re_indefinite = bool(la[0] < -ind and la[-1] > ind)
+    im_indefinite = bool(lb[0] < -ind and lb[-1] > ind)
     return ZeroSquareReport(
         norm_t=norm_t,
-        square_norm=square_norm,
+        square_norm=_ldexp(square, 2 * e),
         hypotheses=hypotheses,
         conclusion_zero=conclusion_zero,
-        re_margins=re_margins,
-        im_margins=im_margins,
+        re_margins=(_ldexp(float(la[0]), e), _ldexp(float(la[-1]), e)),
+        im_margins=(_ldexp(float(lb[0]), e), _ldexp(float(lb[-1]), e)),
         re_indefinite=re_indefinite,
         im_indefinite=im_indefinite,
         violation=violation,
@@ -596,10 +604,16 @@ def commutator_identities(T) -> tuple[float, float]:
     the two brackets.  In particular BC = CB iff AD = DA, and AC = CA iff
     BD = DB.
 
-    The brackets are taken on T / 2^e (``linalg._unit_scale``) and the
-    residuals scaled back by 2^(3e), so no product overflows; a residual
-    beyond the float range reads inf."""
-    S, e = _unit_scale(as_matrix(T, "T"), down_only=True)
+    The brackets are taken on T / 2^e (``_commutators``), so no product
+    overflows; a residual beyond the float range reads inf."""
+    r1, r2, _, e = _commutators(T)
+    return _ldexp(r1, 3 * e), _ldexp(r2, 3 * e)
+
+
+def _commutators(T) -> tuple[float, float, float, int]:
+    """The residuals of ``commutator_identities`` and ||S||_F, all on S =
+    T / 2^e (``linalg._unit_scale``), and e."""
+    S, e = _unit_scale(as_matrix(T, "T"))
     ab = cartesian_parts(S)
     cd = cartesian_parts(S @ S)
     A, B, C, D = ab.re, ab.im, cd.re, cd.im
@@ -607,10 +621,7 @@ def commutator_identities(T) -> tuple[float, float]:
     def comm(X, Y):
         return X @ Y - Y @ X
 
-    return (
-        _ldexp(fro(comm(C, B) - comm(A, D)), 3 * e),
-        _ldexp(fro(comm(A, C) - comm(B, D)), 3 * e),
-    )
+    return fro(comm(C, B) - comm(A, D)), fro(comm(A, C) - comm(B, D)), fro(S), e
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +641,11 @@ class NormalityReport:
     applicable: str | None
     defect: float
     normal: bool
-    commutation_residual: float | None
-    commutes: bool | None
-    agree: bool | None
-    indeterminate: bool
-    selfadjoint_clause_checked: bool
+    commutation_residual: float | None = None
+    commutes: bool | None = None
+    agree: bool | None = None
+    indeterminate: bool = False
+    selfadjoint_clause_checked: bool = False
     violation: str | None = None
 
 
@@ -646,17 +657,17 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     """Evaluate the biconditional between normality of T and commutation of
     the sign-definite Cartesian part with Im T^2.
 
-    Everything is taken on T / 2^e (``linalg._unit_scale``), with each
-    floor 1 + ||.||^k as 2^(-ke) + ||.||^k, so every test reads as on T and
-    no product overflows; the commutation residual is scaled back by 2^(3e).
+    Every test is taken on M = T / 2^e (``linalg._unit_scale``) against the
+    band of ||M||_F^k (``linalg._band``), and the defect and the commutation
+    residual are scaled back exactly.
     """
     T = as_matrix(T, "T")
-    M, e = _unit_scale(T, down_only=True)
+    M, e = _unit_scale(T)
     parts = cartesian_parts(M)
     A, B = parts.re, parts.im
-    S = M @ M
-    D = cartesian_parts(S).im
-    band = tol.structural * (math.ldexp(1.0, -e) + fro(M))
+    D = cartesian_parts(M @ M).im
+    gap, norm = _normality(M)
+    band = _band(norm, tol.structural)
     la = _eigvals(A)
     lb = _eigvals(B)
     if _definite(la, band):
@@ -666,25 +677,17 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     else:
         applicable, part = None, None
 
-    defect, scaled_defect = _normality(T)
-    normal = scaled_defect <= tol.structural
+    defect = _ldexp(gap, 2 * e)
+    thr_n = _band(norm, tol.structural, 2)
+    normal = gap <= thr_n
     if applicable is None:
-        return NormalityReport(
-            applicable=None,
-            defect=defect,
-            normal=normal,
-            commutation_residual=None,
-            commutes=None,
-            agree=None,
-            indeterminate=False,
-            selfadjoint_clause_checked=False,
-        )
+        return NormalityReport(applicable=None, defect=defect, normal=normal)
 
     scaled_cres = fro(part @ D - D @ part)
-    thr_c = tol.structural * (math.ldexp(1.0, -3 * e) + fro(M) ** 3)
+    thr_c = _band(norm, tol.structural, 3)
     commutes = scaled_cres <= thr_c
     in_band = (
-        tol.structural < scaled_defect <= INDETERMINATE_FACTOR * tol.structural
+        thr_n < gap <= INDETERMINATE_FACTOR * thr_n
         or thr_c < scaled_cres <= INDETERMINATE_FACTOR * thr_c
     )
     cres = _ldexp(scaled_cres, 3 * e)
@@ -696,7 +699,7 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
             f"(defect {defect:.3e}, [part, Im T^2] residual {cres:.3e})"
         )
     # Final clause: Hermitian T^2 plus a sign-definite part forces normality.
-    clause_checked = fro(D) <= tol.structural * (math.ldexp(1.0, -2 * e) + fro(S))
+    clause_checked = fro(D) <= thr_n
     if clause_checked and not normal and violation is None:
         violation = (
             "THEOREM VIOLATION: T^2 self-adjoint and a Cartesian part "

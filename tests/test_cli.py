@@ -628,6 +628,24 @@ def test_cli_sqrt_reports_the_sign_case_it_used_at_small_scale(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
+def test_cli_decompose_and_zero_square_at_small_scale(tmp_path):
+    # fro rescales sums of squares that underflow, and every verdict is
+    # relative: a 1e-10 Jordan block reads as the unit one, not as zero.
+    n_path = _write(tmp_path, "N.mat", 1e-170 * (1.0 + 1.0j) * np.eye(2))
+    rpt = tmp_path / "r.json"
+    assert main(["decompose", n_path, "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert results["re_norm"] == pytest.approx(np.sqrt(2.0) * 1e-170, rel=1e-15)
+    assert results["im_norm"] == pytest.approx(np.sqrt(2.0) * 1e-170, rel=1e-15)
+    assert results["flags"]["normal"] and not results["flags"]["zero"]
+    j_path = _write(tmp_path, "J.mat", 1e-10 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert main(["zero-square", j_path, "--json", str(rpt)]) == 0
+    results = _read_report(rpt)["results"]
+    assert set(results["hypotheses"].values()) == {"fails"}
+    assert not results["conclusion_zero"] and results["violation"] is None
+    assert results["re_indefinite"] and results["im_indefinite"]
+
+
 def test_cli_classify_default_target_overflow_exits_1(tmp_path):
     # T^2 of diag(1e160, 2e160) overflows: one line on stderr, no warning.
     import os

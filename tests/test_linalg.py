@@ -157,6 +157,18 @@ def test_fro_survives_overflow():
     assert fro(H) == float(np.linalg.norm(H))
 
 
+def test_fro_survives_underflow():
+    # The squares of entries below 2^-511 underflow; such norms are taken on
+    # the matrix scaled by a power of two, so only M = 0 has norm 0.
+    M = 1e-170 * (1.0 + 1.0j) * np.eye(2)
+    assert fro(M) == pytest.approx(2.0 * 1e-170, rel=1e-15)
+    assert fro(M.real) == pytest.approx(np.sqrt(2.0) * 1e-170, rel=1e-15)
+    tiny = np.array([[5e-324, 0.0], [0.0, 0.0]])
+    assert fro(tiny) == 5e-324 and fro(np.zeros((2, 2))) == 0.0
+    stack = np.stack([M, np.eye(2), np.zeros((2, 2))])
+    assert np.allclose(fro(stack), [fro(M), np.sqrt(2.0), 0.0], rtol=1e-15, atol=0.0)
+
+
 def test_fro_overflow_prints_no_warning():
     M = np.full((3, 3), 1e200 + 1e200j)
     with warnings.catch_warnings():
@@ -195,15 +207,16 @@ def test_fro_long_sum_of_squares_bypasses_blas(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("scale, jordan_defect", [
-    (1e-200, 0.0), (1.0, np.sqrt(0.5)), (1e160, np.sqrt(2.0)), (1e300, np.sqrt(2.0)),
+    (1e-200, np.sqrt(2.0)), (1.0, np.sqrt(2.0)), (1e160, np.sqrt(2.0)), (1e300, np.sqrt(2.0)),
 ])
 def test_normality_defect_at_every_scale(scale, jordan_defect):
-    # Taken on M / 2^e, so the squares of ||M||_F ~ 1e300 do not overflow.
+    # ||M*M - MM*||_F / ||M||_F^2, taken on M / 2^e, so the squares of
+    # ||M||_F ~ 1e300 do not overflow and those of 1e-200 do not underflow.
     N = scale * np.diag([1.0, 1j])
     J = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
     assert normality_defect(N) == 0.0 and is_normal(N)
     assert normality_defect(J) == pytest.approx(jordan_defect, rel=1e-15)
-    assert is_normal(J) == (jordan_defect == 0.0)
+    assert not is_normal(J)
 
 
 def test_eigen_large_scale():
@@ -341,6 +354,27 @@ def test_jacobi_stop_rule_is_relative(scale):
     assert np.allclose(hermitian_eigen(H).eigenvalues, expected, rtol=1e-14, atol=0.0)
     assert np.allclose(hermitian_eigen_batch(H[None]).eigenvalues, [expected],
                        rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_jacobi_reaches_working_precision(n):
+    # The stop rule 4e-16 ||A||_F (about 2 eps) converges on 16-fold repeated
+    # spectra and on spectra spread over 12 decades, to residuals of
+    # n eps ||H||_F, in both engines.
+    rng = np.random.default_rng(n)
+    spectra = (np.repeat(rng.uniform(-1.0, 1.0, n // 16), 16),
+               rng.choice([-1.0, 1.0], n) * np.logspace(-12.0, 0.0, n))
+    stack = []
+    for lam in spectra:
+        Q = random_unitary(rng, n)
+        H = (Q * lam) @ Q.conj().T
+        stack.append(0.5 * (H + H.conj().T))
+    stack = np.stack(stack)
+    batch = hermitian_eigen_batch(stack)
+    for H, w, V in zip(stack, batch.eigenvalues, batch.vectors):
+        serial = hermitian_eigen(H)
+        for w, V in ((w, V), (serial.eigenvalues, serial.vectors)):
+            assert fro(H @ V - V * w) <= n * np.finfo(float).eps * fro(H)
 
 
 def test_jacobi_zero_matrix_converges_at_once():
@@ -843,6 +877,17 @@ def test_classify_identity():
 def test_classify_jordan_block():
     f = classify([[0.0, 1.0], [0.0, 0.0]])
     assert not any(asdict(f).values())
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-300, 2.0 ** -1070])
+def test_classify_verdicts_are_relative(scale):
+    # No absolute floor: a small Jordan block is neither Hermitian, normal,
+    # semidefinite nor zero, and a small identity is psd but not zero.
+    J = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert not any(asdict(classify(J)).values())
+    f = classify(scale * np.eye(2))
+    assert (f.hermitian, f.normal, f.psd, f.nsd, f.zero) == (True, True, True, False, False)
+    assert classify(np.zeros((2, 2))).zero
 
 
 def test_classify_commuting_construction(rng):

@@ -104,13 +104,13 @@ def _forward_error(cert, expected):
 def test_sqrt_of_positive_definite_matches_eigh(d):
     # Im N = 0: the formula ((|N| - C)/2)^{1/2} took the root of pure
     # rounding here (forward error 1e-7).  What is left is |N|, which squares
-    # N: Jacobi's stop rule leaves up to 1e-13 ||N*N||_F off the diagonal
-    # (worst 5.5e-13 over 200 seeds; 3e-15 with eigh in its place).
+    # N, with Jacobi stopped at 4e-16 ||N*N||_F off the diagonal (worst
+    # 3.6e-15 here, 2.4e-15 over 200 d5 seeds; 5.5e-13 with a 1e-13 stop).
     for seed in range(20):
         P = random_psd(np.random.default_rng(seed), d) + 0.5 * np.eye(d)
         lam, V = np.linalg.eigh(P)
         cert = sqrt_signdef(P)
-        assert _forward_error(cert, (V * np.sqrt(lam)) @ V.conj().T) <= 1e-12
+        assert _forward_error(cert, (V * np.sqrt(lam)) @ V.conj().T) <= 4e-15
         assert cert.power_residual <= DEFAULT_TOL.residual
 
 

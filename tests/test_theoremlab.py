@@ -52,6 +52,16 @@ def test_sylvester_coinciding_spectra_rejected():
         sylvester_solve(SylvesterProblem(np.eye(2), np.eye(2), np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_sylvester_singular_nonhermitian_system_rejected(n):
+    # a X - X a = s is singular, but rounding leaves the Kronecker pivots
+    # nonzero: the solution has norm ~1e16 and a backward error of ~1e-16.
+    rng = np.random.default_rng(0)
+    a = random_dense(rng, n)
+    with pytest.raises(SingularSylvesterError, match="numerically singular"):
+        sylvester_solve(SylvesterProblem(a, a, np.eye(n)))
+
+
 def test_sylvester_uniqueness_mechanism(rng):
     # with disjoint spectra of A and -A, AX - X(-A) = 0 forces X = 0
     A = np.diag([1.0, 2.0, 3.5]) + 0j
@@ -164,6 +174,28 @@ def test_sylvester_nearly_hermitian_meets_residual_bound(rng):
     # The eigenbasis is that of the Hermitian part of a; refinement against
     # a itself removes the ~1e-11 residual the skew perturbation leaves.
     assert residual <= 1e-13 * (1.0 + fro(S))
+
+
+def test_verdicts_at_small_scale_are_those_at_unit_scale():
+    # An absolute floor tol (1 + ||.||) decided each of these as for T = 0.
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    r = check_zero_square(1e-10 * J)
+    assert set(r.hypotheses.values()) == {"fails"} and not r.conclusion_zero
+    assert r.re_indefinite and r.im_indefinite and r.violation is None
+    rep = normality_equivalence(1e-6 * (J + 0.3 * np.eye(2)))
+    assert not rep.normal and rep.applicable is None
+    ok, gap = spectra_disjoint(1e-12 * np.eye(2), -1e-12 * np.eye(2))
+    assert ok and gap == pytest.approx(2e-12)
+
+
+def test_range_of_a_rotated_hermitian_matrix():
+    # Re(e^{i theta} M) vanishes at the best angle, where the zoom's rotated
+    # matrices are rounding noise: they must not be refused as not Hermitian.
+    for seed in range(10):
+        U = random_unitary(np.random.default_rng(seed), 3)
+        M = np.exp(1j * (0.3 + seed)) * (U * np.array([1.0, -2.0, 0.5])) @ U.conj().T
+        rc = numerical_range_contains_zero(M)
+        assert rc.contains_zero and rc.indeterminate
 
 
 def test_spectra_disjoint_examples():
@@ -681,10 +713,10 @@ def test_zero_square_jordan_block():
 
 
 def test_zero_square_indeterminate_band():
-    # Re T and Im T have eigenvalues +-6e-10, between the band ~1e-10 and
-    # ten times it: no sign condition is decided, and ||T|| = 1.2e-9 is too
-    # large to count as zero.
-    r = check_zero_square(1.2e-9 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # Re T and Im T have eigenvalues +-||T||/2, between the band 0.1 ||T||
+    # and ten times it: no sign condition is decided, and T is not zero.
+    r = check_zero_square(1.2e-9 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                          linalg.Tolerances(structural=0.1))
     assert set(r.hypotheses.values()) == {"indeterminate"}
     assert not r.conclusion_zero
     assert r.violation is None
@@ -829,11 +861,12 @@ def test_normality_equivalence_campaign(rng):
         assert rep.violation is None
 
 
-@pytest.mark.parametrize("k", [0, 370, 530])
+@pytest.mark.parametrize("k", [0, 370, 530, -370, -530])
 def test_theorem_checks_at_large_scale_read_as_at_unit_scale(rng, k):
-    # 2^530 ~ 1e160: ||T||^2 and ||T||^3 overflow a float, the checks must
-    # not.  For ||T|| >= 1 the floors 1 + ||T||^j scale with T, so the
-    # verdicts are those at unit scale and the norms scale by 2^(jk).
+    # 2^530 ~ 1e160: ||T||^2 and ||T||^3 overflow a float, and 2^-530 ones
+    # underflow; the checks must not.  Every test is relative to ||T||, so
+    # the verdicts are those at unit scale and the norms scale by 2^(jk),
+    # flushing to 0 where they fall below the float range.
     def up(M):
         return np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
 
