@@ -8,8 +8,9 @@ nth roots, polar decomposition of normal matrices, and the unitary
 exponential/logarithm pair with the principal branch fixed to (-pi, pi].
 
 Callers pass matrices Hermitian within tolerance; all three Hermitian
-eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``
-(the stacked engine checks shape and finiteness itself):
+eigensolvers test, scale and symmetrise them in one pass,
+``_unit_hermitian``, after ``as_matrix`` (the stacked engine checks shape
+and finiteness itself):
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
   tridiagonalization, then implicit QL on Python floats.  It serves every
@@ -29,13 +30,15 @@ eigensolvers symmetrise them in ``require_hermitian``, after ``as_matrix``
   data-dependent and capped (ConvergenceError), against O(n^2) rotations per
   Jacobi sweep.
 - ``hermitian_eigen`` runs cyclic Jacobi on one matrix and returns the
-  vectors too.  Every construction that needs an eigenbasis of one matrix
-  goes through it: ``psd_root``, ``normal_eigen``, ``expi`` and the
-  Hermitian case of the numerical-range test.  The vectors stay on Jacobi
-  because Jacobi's are orthogonal to working precision even inside clusters
-  of equal eigenvalues, which the constructions rely on; a faster vector
-  engine (inverse iteration on the tridiagonal form) has not yet matched
-  that.
+  vectors too.  Each rotation's scalar work is done on Python numbers and
+  only its O(n) vector updates in numpy, because the same work on numpy
+  scalars costs more than those updates at every n solved serially.  Every
+  construction that needs an eigenbasis of one matrix goes through it:
+  ``psd_root``, ``normal_eigen``, ``expi`` and the Hermitian case of the
+  numerical-range test.  The vectors stay on Jacobi because Jacobi's are
+  orthogonal to working precision even inside clusters of equal
+  eigenvalues, which the constructions rely on; a faster vector engine
+  (inverse iteration on the tridiagonal form) has not yet matched that.
 - ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
   rotating n/2 disjoint pairs of every member at once.  It serves callers
   that need many small eigensolves together: the Hermitian Sylvester solve
@@ -53,9 +56,9 @@ verdict in the package is one relative rule on the unit-scaled input,
 The two Jacobi engines differ only in the order of their rotations and in
 the angle rule (each engine's docstring); everything else is one contract,
 ``_jacobi``, for a matrix and for each member of a stack alike.
-``require_hermitian`` tests and symmetrises the input and names the first
-member that fails as H[b].  Each member is normalised on its own, A =
-H / 2^e, and starts from V = I.  It skips rotations on entries of modulus
+``_unit_hermitian`` tests the input and names the first member that fails
+as H[b].  Each member is normalised on its own, A = H / 2^e, symmetrised,
+and starts from V = I.  It skips rotations on entries of modulus
 at most threshold / (4n), and stops once its off-diagonal norm is at most
 threshold = ``_JACOBI_TOL`` * ||A||_F, a relative rule with no absolute
 floor (Demmel & Veselic 1992).  After ``_MAX_SWEEPS`` sweeps a
@@ -315,7 +318,11 @@ def normality_defect(M: np.ndarray) -> float:
 def is_hermitian(M: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Whether ||M - M*||_F is within the band of ||M||_F, for a matrix (a
     bool) or for each member of a stack (an array)."""
-    S, _ = _unit_scale(np.asarray(M))
+    return _hermitian_test(_unit_scale(np.asarray(M))[0], tol)
+
+
+def _hermitian_test(S: np.ndarray, tol: Tolerances):
+    """``is_hermitian`` on S = M / 2^e, already unit-scaled."""
     return fro(S - _adj(S)) <= _band(fro(S), tol.structural)
 
 
@@ -336,12 +343,21 @@ def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> n
     """0.5 (M + M*), for a matrix or for each member of a stack (B, n, n),
     once each passes ``is_hermitian``; else NotHermitianError names the
     first member that fails, as name[b], with its defect ||M - M*||_F."""
-    bad = np.flatnonzero(np.logical_not(is_hermitian(M, tol)))
+    _unit_hermitian(M, tol, name)
+    return 0.5 * (M + _adj(M))
+
+
+def _unit_hermitian(M: np.ndarray, tol: Tolerances, name: str):
+    """``require_hermitian`` on S = M / 2^e (``_unit_scale``), returning
+    (0.5 (S + S*), e): the eigensolvers take both as they are, so the
+    check's scaling pass is their only one."""
+    S, e = _unit_scale(M)
+    bad = np.flatnonzero(np.logical_not(_hermitian_test(S, tol)))
     if bad.size:
         b = bad[0]
         label, member = (f"{name}[{b}]", M[b]) if M.ndim > 2 else (name, M)
         raise NotHermitianError(f"{label} is not Hermitian: defect {fro(member - _adj(member)):.3e}")
-    return 0.5 * (M + _adj(M))
+    return 0.5 * (S + _adj(S)), e
 
 
 def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
@@ -372,11 +388,11 @@ _JACOBI_TOL = 4e-16
 _MAX_SWEEPS = 64
 
 
-def _jacobi(H: np.ndarray, sweep) -> HermitianEigen:
-    """The Jacobi contract of the module docstring, on a matrix or a stack H
-    that ``require_hermitian`` has checked and symmetrised; sweep(A, V, skip,
-    active) rotates the members listed in active once over every pair."""
-    A, e = _unit_scale(H)
+def _jacobi(A: np.ndarray, e, sweep) -> HermitianEigen:
+    """The Jacobi contract of the module docstring, on a matrix or a stack
+    A = H / 2^e that ``_unit_hermitian`` has checked, scaled and
+    symmetrised (A is rotated in place); sweep(A, V, skip, active) rotates
+    the members listed in active once over every pair."""
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     V = np.empty(A.shape, dtype=complex)
@@ -420,38 +436,47 @@ def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     rotation zeroes A[p, q] by a phased plane rotation with theta =
     atan2(2|a_pq|, a_qq - a_pp) / 2, in (0, pi/2).
     """
-    return _jacobi(require_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
+    return _jacobi(*_unit_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
 
 
 def _cyclic_sweep(A: np.ndarray, V: np.ndarray, skip: float, active) -> None:
-    """One cyclic sweep of ``hermitian_eigen`` on the single matrix A."""
+    """One cyclic sweep of ``hermitian_eigen`` on the single matrix A.
+
+    Each rotation's scalar work (|a_pq|, its phase u, the angle, c, s and
+    s u) is done on Python numbers read with ``item``: the same twenty or so
+    operations on numpy scalars, six of them ufunc calls, cost more than the
+    O(n) vector updates at every n the package solves serially.  Only those
+    updates touch numpy, each multiplying vectors by Python scalars.
+    """
     n = A.shape[0]
+    item = A.item
     for p in range(n - 1):
         for q in range(p + 1, n):
-            apq = A[p, q]
+            apq = item(p, q)
             mag = abs(apq)
             if mag <= skip:
                 continue
-            u = apq / mag
-            theta = 0.5 * np.arctan2(2.0 * mag, float((A[q, q] - A[p, p]).real))
-            c = np.cos(theta)
-            s = np.sin(theta)
+            theta = 0.5 * math.atan2(2.0 * mag, item(q, q).real - item(p, p).real)
+            c = math.cos(theta)
+            su = math.sin(theta) * (apq / mag)
+            suc = su.conjugate()
+            # The second vector of each pair is read before it is overwritten.
             Ap = A[:, p].copy()
-            Aq = A[:, q].copy()
-            A[:, p] = c * Ap - s * np.conj(u) * Aq
-            A[:, q] = s * u * Ap + c * Aq
+            Aq = A[:, q]
+            A[:, p] = c * Ap - suc * Aq
+            A[:, q] = su * Ap + c * Aq
             Rp = A[p, :].copy()
-            Rq = A[q, :].copy()
-            A[p, :] = c * Rp - s * u * Rq
-            A[q, :] = s * np.conj(u) * Rp + c * Rq
+            Rq = A[q, :]
+            A[p, :] = c * Rp - su * Rq
+            A[q, :] = suc * Rp + c * Rq
             A[p, q] = 0.0
             A[q, p] = 0.0
-            A[p, p] = A[p, p].real
-            A[q, q] = A[q, q].real
+            A[p, p] = item(p, p).real
+            A[q, q] = item(q, q).real
             Vp = V[:, p].copy()
-            Vq = V[:, q].copy()
-            V[:, p] = c * Vp - s * np.conj(u) * Vq
-            V[:, q] = s * u * Vp + c * Vq
+            Vq = V[:, q]
+            V[:, p] = c * Vp - suc * Vq
+            V[:, q] = su * Vp + c * Vq
 
 
 @functools.cache
@@ -495,7 +520,7 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
         )
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise LinalgError("H contains non-finite entries")
-    return _jacobi(require_hermitian(A, tol, "H"), _round_robin_sweep)
+    return _jacobi(*_unit_hermitian(A, tol, "H"), _round_robin_sweep)
 
 
 def _round_robin_sweep(A: np.ndarray, V: np.ndarray, skip: np.ndarray, active) -> None:
@@ -534,9 +559,10 @@ def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix unitarily similar to the Hermitian A (real or complex).
 
     Householder reflections I - tau v v* with the rank-2 trailing update of
-    LAPACK's zhetrd: p = tau A v, w = p - (tau/2)(v* p) v, A -= v w* + w v*.
-    The phases of the off-diagonal entries are dropped, which a diagonal
-    unitary similarity does exactly.  The matrix-vector product goes
+    LAPACK's zhetrd: p = tau A v, w = p - (tau/2)(v* p) v, A -= v w* + w v*,
+    the update as one (m x 2)(2 x m) product [v w][w v]*.  The phases of
+    the off-diagonal entries are dropped, which a diagonal unitary
+    similarity does exactly.  The matrix-vector product goes
     through einsum, not BLAS: at these sizes a multithreaded gemv costs far
     more than it saves once another process keeps the other cores busy.
     """
@@ -558,8 +584,7 @@ def _tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         B = A[k + 1:, k + 1:]
         p = tau * np.einsum("ij,j->i", B, v)
         w = p - (0.5 * tau * np.vdot(v, p).real) * v
-        B -= np.outer(v, w.conj())
-        B -= np.outer(w, v.conj())
+        B -= np.stack((v, w), axis=1) @ np.stack((w, v)).conj()
     if n > 1:
         e[n - 2] = abs(A[n - 1, n - 2])
         d[n - 2] = A[n - 2, n - 2].real
@@ -625,28 +650,29 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ``hermitian_eigen``; the checked matrix goes to ``_eigvals``, whose
     docstring gives the method, the error and the ConvergenceError.
     """
-    return _eigvals(require_hermitian(as_matrix(H, "H"), tol, "H"))
+    return _eigvals(*_unit_hermitian(as_matrix(H, "H"), tol, "H"))
 
 
-def _eigvals(H: np.ndarray) -> np.ndarray:
+def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
     """Eigenvalues of H, ascending, for H finite and exactly Hermitian (H[i, j]
     == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks,
     for callers that built H that way (``cartesian_parts`` of a checked
-    matrix).
+    matrix).  Given e, H is taken as already normalised, H' / 2^e as
+    ``_unit_hermitian`` returns it, and the values of H' come back.
 
-    H is normalised (``_unit_scale``), reduced to a real symmetric
-    tridiagonal (d, off) by Householder reflections (on Python numbers up to
-    n = _SCALAR_REDUCTION_MAX_N, else ``_tridiagonal``; real arithmetic for
-    real input), solved by implicit QL with Wilkinson shifts on Python floats
-    (Bowdler, Martin, Reinsch & Wilkinson 1968; LAPACK's dsteqr without
-    vectors) and scaled back.  off_m is dropped once off_m^2 <= eps^2 |d_m|
-    |d_m+1| + safmin; the safmin term also deflates a zero-diagonal block
-    with a tiny off-diagonal and keeps the shift finite.  The error is a
-    small multiple of n * eps * ||H||_2, and 2^k H gives exactly 2^k times
-    the values of H.  The number of QL iterations depends on the data; past
+    H is normalised (``_unit_scale``) unless e is given, reduced to a real
+    symmetric tridiagonal (d, off) by Householder reflections (on Python
+    numbers up to n = _SCALAR_REDUCTION_MAX_N, else ``_tridiagonal``; real
+    arithmetic for real input), solved by implicit QL with Wilkinson shifts
+    on Python floats (Bowdler, Martin, Reinsch & Wilkinson 1968; LAPACK's
+    dsteqr without vectors) and scaled back.  off_m is dropped once off_m^2
+    <= eps^2 |d_m| |d_m+1| + safmin; the safmin term also deflates a
+    zero-diagonal block with a tiny off-diagonal and keeps the shift finite.
+    The error is a small multiple of n * eps * ||H||_2, and 2^k H gives
+    exactly 2^k times the values of H.  The number of QL iterations depends on the data; past
     _QL_MAX_ITER per eigenvalue, ConvergenceError reports norms in H's units.
     """
-    A, e = _unit_scale(H)
+    A, e = _unit_scale(H) if e is None else (H, e)
     if not A.imag.any():
         A = A.real
     n = A.shape[0]
@@ -842,11 +868,11 @@ def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:
     M = as_matrix(M, "M")
     S, _ = _unit_scale(M)
     band = _band(fro(S), tol.structural)
-    herm = is_hermitian(S, tol)
+    herm = _hermitian_test(S, tol)
     normal = is_normal(S, tol)
     psd = nsd = False
     if herm:
-        lam = hermitian_eigvals(S, tol)
+        lam = _eigvals(0.5 * (S + _adj(S)), 0)
         psd = -float(lam[0]) <= band
         nsd = float(lam[-1]) <= band
     unitary = _is_unitary(M, tol)

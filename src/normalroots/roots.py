@@ -241,7 +241,8 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     with spectrum in (-pi, pi].  On the branch cut arg = +pi: an eigenvalue
     of N on the negative real axis (to within rounding) gives e^{i pi/n} on
     branch 0, as ``spectral_sqrt`` does for n = 2.  Any integer k is
-    accepted; k and k + n give the same root up to rounding.  The root of
+    accepted and reduced modulo n exactly (the certificate keeps k), so k
+    and k + mn give the same root for every integer m.  The root of
     N / 2^(nj) (``linalg._unit_scale``) is scaled back by 2^j.
     """
     N = as_matrix(N, "N")
@@ -252,7 +253,7 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     S, e = _unit_scale(N, step=int(n))
     form = polar_normal(S, tol)
     A = unitary_log(form.unitary, tol)
-    shift = (A + 2.0 * np.pi * int(k) * np.eye(N.shape[0])) / int(n)
+    shift = (A + 2.0 * np.pi * (int(k) % int(n)) * np.eye(N.shape[0])) / int(n)
     root = psd_root(form.positive, int(n), tol) @ expi(shift, tol)
     return replace(verify_root(_ldexp(root, e // int(n)), N, n), branch=int(k))
 

@@ -377,6 +377,43 @@ def test_jacobi_reaches_working_precision(n):
             assert fro(H @ V - V * w) <= n * np.finfo(float).eps * fro(H)
 
 
+def _oracle_input(rng, n, kind, real):
+    """A Hermitian test matrix: dense, or with a spectrum spread over 12
+    decades, 4-fold repeated, or clustered within 1e-9."""
+    if kind == "dense":
+        G = rng.standard_normal((n, n)) if real else random_dense(rng, n)
+        return G + G.conj().T
+    if kind == "decades":
+        lam = rng.choice([-1.0, 1.0], n) * np.logspace(-12.0, 0.0, n)
+    elif kind == "repeated":
+        lam = np.repeat(rng.uniform(-1.0, 1.0, (n + 3) // 4), 4)[:n]
+    else:
+        lam = _test_spectrum(rng, n, "clustered")
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else random_unitary(rng, n)
+    H = (Q * lam) @ Q.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
+@pytest.mark.parametrize("solve", [hermitian_eigen, _as_stack_solver(hermitian_eigen_batch)],
+                         ids=["hermitian_eigen", "hermitian_eigen_batch"])
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 24),
+       st.sampled_from(["dense", "decades", "repeated", "clustered"]), st.booleans())
+def test_jacobi_engines_reach_working_precision_against_lapack(solve, seed, n, kind, real):
+    # Both engines against LAPACK's eigh, in units of n eps.  Over 2 400
+    # inputs per engine of these kinds and sizes, the worst ratios were 2.53
+    # (values), 1.23 (residual) and 1.97 (orthogonality); each bound is about
+    # twice that; test_eigen_invariants_property allows 2 000 times more.
+    H = _oracle_input(np.random.default_rng(seed), n, kind, real)
+    eig = solve(H)
+    w, V = eig.eigenvalues, eig.vectors
+    ref = np.linalg.eigvalsh(H)
+    unit = n * np.finfo(float).eps
+    assert np.abs(w - ref).max() <= 5.0 * unit * np.abs(ref).max()
+    assert fro(H @ V - V * w) <= 2.5 * unit * fro(H)
+    assert fro(V.conj().T @ V - np.eye(n)) <= 4.0 * unit
+
+
 def test_jacobi_zero_matrix_converges_at_once():
     # The relative threshold is 0 on the zero matrix, which is diagonal.
     eig = hermitian_eigen(np.zeros((3, 3)))

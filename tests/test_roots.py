@@ -308,6 +308,10 @@ def test_nth_root_branch_periodicity(rng):
         r1 = nth_root(N, n, k).root
         r2 = nth_root(N, n, k + n).root
         assert fro(r1 - r2) <= 1e-12 * scale
+        # k is reduced mod n exactly, so 2 pi k never swamps A.
+        for m in (10**6, 10**17):
+            cert = nth_root(N, n, k + m * n)
+            assert np.array_equal(cert.root, r1) and cert.branch == k + m * n
 
 
 def test_nth_root_eigensolve_count(monkeypatch):
