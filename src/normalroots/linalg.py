@@ -2,15 +2,15 @@
 
 Everything downstream (root construction, theorem checking, the CLI) works on
 plain numpy complex arrays.  This module owns the spectral machinery: three
-eigensolvers for complex Hermitian matrices, eigendecomposition of
-normal matrices by simultaneous diagonalization of the Cartesian parts, psd
-nth roots, polar decomposition of normal matrices, and the unitary
-exponential/logarithm pair with the principal branch fixed to (-pi, pi].
+eigensolvers for complex Hermitian matrices, one of which also diagonalizes
+normal matrices, psd nth roots, polar decomposition of normal matrices, and
+the unitary exponential/logarithm pair with the principal branch fixed to
+(-pi, pi].
 
-Callers pass matrices Hermitian within tolerance; all three Hermitian
-eigensolvers test, scale and symmetrise them in one pass,
-``_unit_hermitian``, after ``as_matrix`` (the stacked engine checks shape
-and finiteness itself):
+Callers pass matrices Hermitian (or, to ``normal_eigen``, normal) within
+tolerance; every eigensolver tests and scales them in one pass,
+``_unit_hermitian`` (which also symmetrises) or ``require_normal``, after
+``as_matrix`` (the stacked engine checks shape and finiteness itself):
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
   tridiagonalization, then implicit QL on Python floats.  It serves every
@@ -29,14 +29,14 @@ and finiteness itself):
   numpy calls.  QL takes about two O(n) iterations per eigenvalue,
   data-dependent and capped (ConvergenceError), against O(n^2) rotations per
   Jacobi sweep.
-- ``hermitian_eigen`` runs cyclic Jacobi on one matrix and returns the
-  vectors too.  Each rotation's scalar work is done on Python numbers and
-  only its O(n) vector updates in numpy, because the same work on numpy
-  scalars costs more than those updates at every n solved serially.  Every
+- ``hermitian_eigen`` and ``normal_eigen`` run the serial engine, cyclic
+  Jacobi on one matrix that rotates its Cartesian parts Re A and Im A
+  jointly (``_cyclic_sweep``), and return the vectors too.  Every
   construction that needs an eigenbasis of one matrix goes through it:
-  ``psd_root``, ``normal_eigen``, ``expi`` and the Hermitian case of the
-  numerical-range test.  The vectors stay on Jacobi because Jacobi's are
-  orthogonal to working precision even inside clusters of equal
+  ``psd_root``, ``expi`` and the Hermitian case of the numerical-range
+  test, and ``polar_normal``, ``unitary_log`` and ``roots.spectral_sqrt``
+  through ``normal_eigen``.  The vectors stay on Jacobi because Jacobi's
+  are orthogonal to working precision even inside clusters of equal
   eigenvalues, which the constructions rely on; a faster vector engine
   (inverse iteration on the tridiagonal form) has not yet matched that.
 - ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
@@ -53,19 +53,20 @@ exactly 2^k times the eigenvalues of H.  Every structural and residual
 verdict in the package is one relative rule on the unit-scaled input,
 ``_band``, so 2^k X gets the verdicts of X.
 
-The two Jacobi engines differ only in the order of their rotations and in
-the angle rule (each engine's docstring); everything else is one contract,
-``_jacobi``, for a matrix and for each member of a stack alike.
-``_unit_hermitian`` tests the input and names the first member that fails
-as H[b].  Each member is normalised on its own, A = H / 2^e, symmetrised,
-and starts from V = I.  It skips rotations on entries of modulus
-at most threshold / (4n), and stops once its off-diagonal norm is at most
-threshold = ``_JACOBI_TOL`` * ||A||_F, a relative rule with no absolute
-floor (Demmel & Veselic 1992).  After ``_MAX_SWEEPS`` sweeps a
-ConvergenceError quotes the norms in H's units, with "member b" for a
-stack.  Eigenvalues come back ascending (a stable sort) and times 2^e, with
-the columns of V permuted to match.  So a member of a stack gets bit for
-bit the result it gets in a stack of one.
+The two Jacobi engines differ in the order of their rotations, in the
+level below which they leave a pair alone, and in the serial engine's
+second stop rule (each sweep's docstring); on Hermitian input both rotate
+by |theta| <= pi/4.  Everything else is one contract, ``_jacobi``, for a
+matrix and for each member of a stack alike.  ``_unit_hermitian`` tests
+the input and names the first member that fails as H[b].  Each member is
+normalised on its own, A = H / 2^e, and starts from V = I.  It stops once
+its off-diagonal norm is at most threshold = ``_JACOBI_TOL`` * ||A||_F, a
+relative rule with no absolute floor (Demmel & Veselic 1992).  After
+``_MAX_SWEEPS`` sweeps a ConvergenceError quotes the norms in H's units,
+with "member b" for a stack.  Eigenvalues come back ascending (a stable
+sort; for ``normal_eigen`` by real part, then imaginary part) and times
+2^e, with the columns of V permuted to match.  So a member of a stack gets
+bit for bit the result it gets in a stack of one.
 
 Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 ``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
@@ -169,7 +170,8 @@ DEFAULT_TOL = Tolerances()
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigenvalues (real, ascending) and a unitary eigenvector matrix; for a
-    stack, eigenvalues (B, n) and vectors (B, n, n), one row/matrix per member."""
+    stack, eigenvalues (B, n) and vectors (B, n, n), one row/matrix per member.
+    Hermitian only: ``normal_eigen`` returns a plain pair (mu, V)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -360,10 +362,14 @@ def _unit_hermitian(M: np.ndarray, tol: Tolerances, name: str):
     return 0.5 * (S + _adj(S)), e
 
 
-def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
-    if not is_normal(M, tol):
-        raise NotNormalError(f"{name} is not normal: defect {normality_defect(M):.3e}")
-    return M
+def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix"):
+    """(S, e), S = M / 2^e (``_unit_scale``), once S passes ``is_normal``;
+    else NotNormalError.  ``normal_eigen`` rotates the S it tested."""
+    S, e = _unit_scale(M)
+    gap, norm = fro(_adj(S) @ S - S @ _adj(S)), fro(S)
+    if gap > _band(norm, tol.structural, 2):
+        raise NotNormalError(f"{name} is not normal: defect {gap / norm**2:.3e}")
+    return S, e
 
 
 def cartesian_parts(T) -> CartesianPair:
@@ -386,27 +392,25 @@ def recompose(pair: CartesianPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # Jacobi's relative stopping threshold (about 2 eps), and its sweep limit.
 _JACOBI_TOL = 4e-16
 _MAX_SWEEPS = 64
+_EPS = float(np.finfo(float).eps)
 
 
-def _jacobi(A: np.ndarray, e, sweep) -> HermitianEigen:
-    """The Jacobi contract of the module docstring, on a matrix or a stack
-    A = H / 2^e that ``_unit_hermitian`` has checked, scaled and
-    symmetrised (A is rotated in place); sweep(A, V, skip, active) rotates
-    the members listed in active once over every pair."""
+def _jacobi(A: np.ndarray, e, sweep) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobi contract of the module docstring on a checked, scaled
+    matrix or stack A = M / 2^e, rotated in place: (values, vectors), the
+    values complex.  sweep(A, V, norm, active) rotates the members listed in
+    active once over every pair, norm = ||A||_F; a true return ends it."""
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     V = np.empty(A.shape, dtype=complex)
     V[...] = eye
     offdiag = 1.0 - eye  # 0 on the diagonal, 1 off it: A * offdiag is exact
-    threshold = _JACOBI_TOL * fro(A)
-    # Rotations on entries this small cannot push the off-diagonal mass
-    # above threshold/4, so skipping them is safe and speeds the last sweeps.
-    skip = threshold / (4.0 * n)
+    norm = fro(A)
+    threshold = _JACOBI_TOL * norm
     for _ in range(_MAX_SWEEPS):
         active = np.flatnonzero(fro(A * offdiag) > threshold)
-        if active.size == 0:
+        if active.size == 0 or sweep(A, V, norm, active):
             break
-        sweep(A, V, skip, active)
     else:
         off = fro(A * offdiag)
         b = int(np.argmax(off - threshold))
@@ -417,66 +421,84 @@ def _jacobi(A: np.ndarray, e, sweep) -> HermitianEigen:
                 f"Jacobi did not converge in {_MAX_SWEEPS} sweeps: {member}off-diagonal "
                 f"norm {_ldexp(off_b, e_b):.3e} > threshold {_ldexp(threshold_b, e_b):.3e}"
             )
-    # Transposed, a stack's (B, n) values meet its (B,) exponents.
-    lam = _ldexp(np.diagonal(A, axis1=-2, axis2=-1).real.T, e).T
+    # A stack's (B, n) values meet its (B,) exponents as a column.
+    lam = _ldexp(np.diagonal(A, axis1=-2, axis2=-1), e if A.ndim == 2 else e[:, None])
     order = np.argsort(lam, kind="stable")
     if A.ndim == 2:
-        return HermitianEigen(eigenvalues=lam[order], vectors=V[:, order])
-    return HermitianEigen(
-        eigenvalues=np.take_along_axis(lam, order, axis=1),
-        vectors=np.take_along_axis(V, order[:, None, :], axis=2),
-    )
+        return lam[order], V[:, order]
+    return np.take_along_axis(lam, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
 
 
 def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
-    """Full eigendecomposition of a complex Hermitian matrix, under the
-    Jacobi contract of the module docstring.
-
-    Cyclic ordering: each sweep visits the pairs p < q row by row, and each
-    rotation zeroes A[p, q] by a phased plane rotation with theta =
-    atan2(2|a_pq|, a_qq - a_pp) / 2, in (0, pi/2).
-    """
-    return _jacobi(*_unit_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
+    """Full eigendecomposition of a complex Hermitian matrix by the serial
+    engine (``_cyclic_sweep``), under the Jacobi contract of the module
+    docstring."""
+    lam, V = _jacobi(*_unit_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
+    return HermitianEigen(eigenvalues=lam.real, vectors=V)
 
 
-def _cyclic_sweep(A: np.ndarray, V: np.ndarray, skip: float, active) -> None:
-    """One cyclic sweep of ``hermitian_eigen`` on the single matrix A.
+def _cyclic_sweep(A: np.ndarray, V: np.ndarray, norm: float, active) -> bool:
+    """One cyclic sweep of the serial engine on the single matrix A, pairs
+    p < q row by row; true when no rotation had |s| > 4 eps, which ends the
+    loop: a converged normal matrix's off-diagonal rests at rounding noise,
+    up to about 3e-15 ||A||_F at n = 64, above the off-norm stop.
 
-    Each rotation's scalar work (|a_pq|, its phase u, the angle, c, s and
-    s u) is done on Python numbers read with ``item``: the same twenty or so
-    operations on numpy scalars, six of them ufunc calls, cost more than the
-    O(n) vector updates at every n the package solves serially.  Only those
-    updates touch numpy, each multiplying vectors by Python scalars.
+    Each rotation acts on both Cartesian parts X = Re A and Y = Im A: it
+    turns h_X = (x_pp - x_qq, 2 Re x_pq, 2 Im x_pq), and h_Y alike, by one
+    rotation of R^3, taking to the first axis the unit w = (x, y, z), x >= 0,
+    that maximises (h_X . w)^2 + (h_Y . w)^2: H u for H = [h_X h_Y] and u
+    the top eigenvector of the 2 x 2 H^T H.  Then c = sqrt((1 + x)/2) and
+    s = (y - iz)/(2c) (Cardoso & Souloumiac 1996).  For Hermitian A, Y = 0
+    up to rounding, and this zeroes a_pq with |theta| <= pi/4.  A pair whose
+    x_pq and y_pq are both at most eps ||A||_F in modulus is left alone.
+    The scalar work is written out on Python numbers read with ``item``, and
+    only the O(n) vector updates touch numpy: numpy scalars or generator
+    expressions cost more than those updates at every n solved serially.
     """
     n = A.shape[0]
     item = A.item
+    skip = 4.0 * (_EPS * norm) ** 2  # bound on |2 x_pq|^2 and |2 y_pq|^2
+    small = True
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = item(p, q)
-            mag = abs(apq)
-            if mag <= skip:
+            aqp = item(q, p)
+            # h_X = (xd, xr, xi) and h_Y = (yd, yr, yi).
+            xr = apq.real + aqp.real
+            xi = apq.imag - aqp.imag
+            yr = apq.imag + aqp.imag
+            yi = aqp.real - apq.real
+            if xr * xr + xi * xi <= skip and yr * yr + yi * yi <= skip:
                 continue
-            theta = 0.5 * math.atan2(2.0 * mag, item(q, q).real - item(p, p).real)
-            c = math.cos(theta)
-            su = math.sin(theta) * (apq / mag)
-            suc = su.conjugate()
+            d = item(p, p) - item(q, q)
+            xd, yd = d.real, d.imag
+            # u = (u0, u1) unnormalised; H^T H = g I takes u = (1, 0).
+            gxy = 2.0 * (xd * yd + xr * yr + xi * yi)
+            t = (xd * xd + xr * xr + xi * xi) - (yd * yd + yr * yr + yi * yi)
+            r = math.hypot(t, gxy)
+            u0, u1 = ((t + r) or 1.0, gxy) if t >= 0.0 else (gxy, r - t)
+            wx = u0 * xd + u1 * yd
+            wy = u0 * xr + u1 * yr
+            wz = u0 * xi + u1 * yi
+            k = math.copysign(1.0 / math.hypot(wx, wy, wz), wx)  # x >= 0
+            c = math.sqrt(0.5 + 0.5 * (wx * k))
+            s = complex(wy, -wz) * (0.5 * k / c)
+            small = small and abs(s) <= 4.0 * _EPS
+            sc = s.conjugate()
             # The second vector of each pair is read before it is overwritten.
             Ap = A[:, p].copy()
             Aq = A[:, q]
-            A[:, p] = c * Ap - suc * Aq
-            A[:, q] = su * Ap + c * Aq
+            A[:, p] = c * Ap + s * Aq
+            A[:, q] = c * Aq - sc * Ap
             Rp = A[p, :].copy()
             Rq = A[q, :]
-            A[p, :] = c * Rp - su * Rq
-            A[q, :] = suc * Rp + c * Rq
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            A[p, p] = item(p, p).real
-            A[q, q] = item(q, q).real
+            A[p, :] = c * Rp + sc * Rq
+            A[q, :] = c * Rq - s * Rp
             Vp = V[:, p].copy()
             Vq = V[:, q]
-            V[:, p] = c * Vp - suc * Vq
-            V[:, q] = su * Vp + c * Vq
+            V[:, p] = c * Vp + s * Vq
+            V[:, q] = c * Vq - sc * Vp
+    return small
 
 
 @functools.cache
@@ -509,9 +531,9 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     vectors (B, n, n), one row and one matrix per member.
 
     Round-robin ordering (Brent & Luk 1985): each round rotates n/2 disjoint
-    pairs of every unconverged member at once.  The angle solves the same
-    zeroing condition as ``hermitian_eigen`` but is taken with |theta| <=
-    pi/4, because the larger serial angle stalls under a parallel ordering.
+    pairs of every unconverged member at once.  Each rotation zeroes a_pq
+    with |theta| <= pi/4, as the serial engine does on Hermitian input; the
+    other zeroing angle, in (0, pi/2), stalls under a parallel ordering.
     """
     A = np.asarray(H, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
@@ -520,12 +542,15 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
         )
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise LinalgError("H contains non-finite entries")
-    return _jacobi(*_unit_hermitian(A, tol, "H"), _round_robin_sweep)
+    lam, V = _jacobi(*_unit_hermitian(A, tol, "H"), _round_robin_sweep)
+    return HermitianEigen(eigenvalues=lam.real, vectors=V)
 
 
-def _round_robin_sweep(A: np.ndarray, V: np.ndarray, skip: np.ndarray, active) -> None:
+def _round_robin_sweep(A: np.ndarray, V: np.ndarray, norm: np.ndarray, active) -> None:
     """One round-robin sweep of ``hermitian_eigen_batch`` over the members of
-    the stack A listed in active; converged members are left as they are."""
+    the stack A listed in active; converged members are left as they are.
+    Entries of modulus at most _JACOBI_TOL ||A||_F / (4n) are skipped."""
+    skip = _JACOBI_TOL * norm / (4.0 * A.shape[-1])
     Ab, Vb, skip_b = A[active], V[active], skip[active, None]
     for p, q in _round_robin(A.shape[-1]):
         apq = Ab[:, p, q]
@@ -772,47 +797,14 @@ def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _ldexp(psd_root(_adj(S) @ S, 2, tol), e)
 
 
-def _clusters(values: np.ndarray, gap: float) -> list:
-    """Split ascending values into runs whose consecutive gaps are <= gap."""
-    groups = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            groups.append((start, i))
-            start = i
-    groups.append((start, len(values)))
-    return groups
-
-
-# Relative gap below which two eigenvalues of Re N are treated as equal when
-# simultaneously diagonalizing the Cartesian parts.
-CLUSTER_FACTOR = 1e-8
-
-
 def normal_eigen(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (mu, V) of a normal matrix with V unitary.
-
-    Diagonalizes Re N, then diagonalizes Im N inside each cluster of equal
-    Re-eigenvalues; valid because normality makes the Cartesian parts commute.
+    """Eigendecomposition (mu, V) of a normal matrix, N = V diag(mu) V*,
+    under the Jacobi contract of the module docstring: the serial engine
+    rotates Re N and Im N, which commute, jointly.  mu is ascending by real
+    part, then by imaginary part; real parts equal in exact arithmetic but
+    not after rounding order mu by their computed values.
     """
-    N = as_matrix(N, "N")
-    require_normal(N, tol, "N")
-    parts = cartesian_parts(N)
-    eig = hermitian_eigen(parts.re, tol)
-    lam, V = eig.eigenvalues, eig.vectors.copy()
-    n = N.shape[0]
-    spread = float(lam[-1] - lam[0]) if n > 1 else 0.0
-    gap = CLUSTER_FACTOR * (1.0 + spread)
-    # Hermitian up to rounding of ||N||, not of a cluster block's own norm.
-    B = _adj(V) @ parts.im @ V
-    B = 0.5 * (B + _adj(B))
-    for lo, hi in _clusters(lam, gap):
-        if hi - lo < 2:
-            continue
-        sub = hermitian_eigen(B[lo:hi, lo:hi], tol)
-        V[:, lo:hi] = V[:, lo:hi] @ sub.vectors
-    mu = np.diag(_adj(V) @ N @ V).copy()
-    return mu, V
+    return _jacobi(*require_normal(as_matrix(N, "N"), tol, "N"), _cyclic_sweep)
 
 
 def expi(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -799,13 +799,51 @@ def test_normal_eigen_recovers_constructed_spectrum(rng):
 
 
 def test_normal_eigen_degenerate_real_part(rng):
-    # eigenvalues share Re but differ in Im: forces the clustering path
+    # eigenvalues share Re but differ in Im: Re N alone cannot split them
     U = random_unitary(rng, 4)
     mu_true = np.array([1 + 1j, 1 - 1j, 1 + 2j, -1.0])
     N = (U * mu_true) @ U.conj().T
     mu, V = normal_eigen(N)
     recon = (V * mu) @ V.conj().T
     assert fro(recon - N) <= 1e-9 * (1.0 + fro(N))
+
+
+@pytest.mark.parametrize("delta", [1e-14, 1e-13, 1e-12, 1e-11])
+def test_normal_eigen_converges_on_nearly_normal_input(delta):
+    # N + delta E passes is_normal; its departure from normality stays on
+    # the off-diagonal, above the off-norm stop, so the loop ends on the
+    # rotation size (4-7 sweeps here).
+    eps = np.finfo(float).eps
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        d = 3 + seed % 6
+        N, _ = random_normal(rng, d)
+        E = random_dense(rng, d)
+        M = N + (delta * fro(N) / fro(E)) * E
+        assert is_normal(M)
+        mu, V = normal_eigen(M)
+        assert fro(V.conj().T @ V - np.eye(d)) <= 4.0 * d * eps
+        assert fro((V * mu) @ V.conj().T - M) <= 2.0 * delta * fro(M)
+
+
+def test_normal_eigen_orders_by_real_then_imaginary_part(rng):
+    mu, V = normal_eigen(np.diag([1 + 2j, -1.0, 1 - 1j, 2j, 1.0]))
+    assert np.array_equal(mu, [-1.0, 2j, 1 - 1j, 1.0, 1 + 2j])
+    assert np.array_equal(V, np.eye(5)[:, [1, 3, 2, 4, 0]])
+    N, _ = random_normal(rng, 8)
+    mu, V = normal_eigen(N)
+    assert np.all(np.diff(mu.real) >= 0.0)
+
+
+def test_normal_eigen_convergence_error_reports_state(monkeypatch):
+    from normalroots import linalg
+
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+    N = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3j]])
+    # The norms are reported in the units of N, not of the normalised N / 4.
+    with pytest.raises(ConvergenceError,
+                       match=r"in 0 sweeps: off-diagonal norm 2\.828e\+00 > threshold"):
+        normal_eigen(N)
 
 
 def test_normal_eigen_rejects_non_normal():

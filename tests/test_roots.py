@@ -129,7 +129,7 @@ def test_sqrt_with_eigenvalues_on_the_real_axis(sign, axis):
 @pytest.mark.parametrize("fixed, forward, residual", [
     # Bounds: the worst of (|N| + C)/2, (|N| - C)/2 roots on these inputs
     # (6.07e-5 / 5.78e-9 and 5.00e-5 / 3.72e-9), rounded up; the cancellation-
-    # free construction reads 4.29e-5 / 2.89e-9 and 1.47e-5 / 1.86e-9.
+    # free construction reads 5.08e-5 / 3.46e-9 and 1.25e-5 / 1.56e-9.
     ((0.0, 0.0), 6.1e-5, 5.8e-9),
     ((1e-8j,), 5.1e-5, 3.8e-9),
 ], ids=["singular", "1e-8i"])
@@ -316,22 +316,24 @@ def test_nth_root_branch_periodicity(rng):
 
 def test_nth_root_eigensolve_count(monkeypatch):
     # Per branch: normal_eigen(N) (its factors give both U and P), then
-    # normal_eigen(U) in unitary_log, psd_root(P) and expi.
+    # normal_eigen(U) in unitary_log, and hermitian_eigen in psd_root(P) and
+    # expi, whatever the spectrum.
     calls = []
-    serial = linalg.hermitian_eigen
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return serial(*args, **kwargs)
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return wrapper
 
     # nth_root makes every eigensolve inside linalg.
-    monkeypatch.setattr(linalg, "hermitian_eigen", counted)
+    for name in ("hermitian_eigen", "normal_eigen"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
     N, _ = random_normal(np.random.default_rng(606), 6)
-    assert np.min(np.diff(np.linalg.eigvalsh(0.5 * (N + N.conj().T)))) > 1e-3
     for k in range(3):
         calls.clear()
         assert nth_root(N, 3, k).power_residual <= 1e-12
-        assert len(calls) == 4
+        assert sorted(calls) == ["hermitian_eigen"] * 2 + ["normal_eigen"] * 2
 
 
 def test_nth_root_square_takes_the_spectral_sqrt_side_of_the_cut():
@@ -413,6 +415,37 @@ def test_oracle_agreement_upper_half(rng):
         a = sqrt_signdef(N).root
         b = spectral_sqrt(N).root
         assert fro(a - b) <= 1e-8 * (1.0 + fro(N))
+
+
+def _spectrum_off_the_cut(rng, d, kind, gap):
+    """d eigenvalues away from 0 and from the negative real axis: pairs with
+    Re parts gap apart and Im parts at least 0.3 apart ("clustered"),
+    4-fold repeated, unitary, or generic."""
+    if kind == "clustered":
+        re = rng.uniform(0.1, 1.0, (d + 1) // 2)
+        im = rng.uniform(-1.0, 0.5, (d + 1) // 2)
+        mu = np.stack([re + 1j * im, re + gap + 1j * (im + rng.uniform(0.3, 0.8, im.size))], 1)
+        return mu.ravel()[:d]
+    mods = np.ones(d) if kind == "unitary" else rng.uniform(0.2, 3.0, d)
+    mu = mods * np.exp(1j * rng.uniform(-np.pi + 0.3, np.pi - 0.3, d))
+    return np.repeat(mu[:(d + 3) // 4], 4)[:d] if kind == "repeated" else mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 8),
+       st.sampled_from(["clustered", "repeated", "unitary", "generic"]),
+       st.sampled_from([0.0, 5e-9, 2e-8, 1e-6, 1e-4]), st.integers(2, 5))
+def test_spectral_roots_reach_working_precision_on_any_normal_spectrum(seed, d, kind, gap, n):
+    # The forward error against Q f(mu) Q*, with roots well conditioned on
+    # these spectra: Re N's eigenvalues gap apart no longer cost eps / gap.
+    rng = np.random.default_rng(seed)
+    mu = _spectrum_off_the_cut(rng, d, kind, gap)
+    Q = random_unitary(rng, d)
+    N = (Q * mu) @ Q.conj().T
+    k = seed % n
+    branch = np.abs(mu) ** (1.0 / n) * np.exp(1j * (np.angle(mu) + 2.0 * np.pi * k) / n)
+    for cert, root in ((spectral_sqrt(N), np.sqrt(mu)), (nth_root(N, n, k), branch)):
+        assert _forward_error(cert, (Q * root) @ Q.conj().T) <= 1e-13
 
 
 # --- verify_root -------------------------------------------------------------
