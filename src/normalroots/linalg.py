@@ -20,15 +20,16 @@ tolerance; every eigensolver tests and scales them in one pass,
   guard outside input; the work is done by the private core ``_eigvals``,
   which takes a matrix that is finite and exactly Hermitian by construction.
   Only the theorem-lab checks (``check_zero_square``,
-  ``normality_equivalence`` and the gap test of
-  ``classify_root_of_selfadjoint``) and the sign case of
-  ``roots.sqrt_signdef`` call the core directly, on ``cartesian_parts`` of a
-  checked matrix.  The reduction runs on Python numbers up to n =
-  ``_SCALAR_REDUCTION_MAX_N`` (8; the two break even near n = 10) and as a
-  numpy loop above, where its O(n^2) work per column outweighs the dozen
-  numpy calls.  QL takes about two O(n) iterations per eigenvalue,
-  data-dependent and capped (ConvergenceError), against O(n^2) rotations per
-  Jacobi sweep.
+  ``normality_equivalence``, which solves Im T only when Re T is not
+  sign-definite, and the gap test of ``classify_root_of_selfadjoint``) call
+  the core directly, on the parts ``_cartesian`` forms once from their
+  unit-scaled copy, and so does the sign case of ``roots.sqrt_signdef``, on
+  ``cartesian_parts`` of a checked matrix.  The reduction runs on Python
+  numbers up to n = ``_SCALAR_REDUCTION_MAX_N`` (8; the two break even near
+  n = 10) and as a numpy loop above, where its O(n^2) work per column
+  outweighs the dozen numpy calls.  QL takes about two O(n) iterations per
+  eigenvalue, data-dependent and capped (ConvergenceError), against O(n^2)
+  rotations per Jacobi sweep.
 - ``hermitian_eigen`` and ``normal_eigen`` run the serial engine, cyclic
   Jacobi on one matrix that rotates its Cartesian parts Re A and Im A
   jointly (``_cyclic_sweep``), and return the vectors too.  Every
@@ -304,16 +305,15 @@ def _band(norm, rtol: float, k: int = 1):
     return rtol * norm ** k
 
 
-def _normality(M: np.ndarray) -> tuple[float, float]:
-    """(||S*S - SS*||_F, ||S||_F) for S = M / 2^e (``_unit_scale``)."""
-    S, _ = _unit_scale(np.asarray(M, dtype=complex))
+def _normality(S: np.ndarray) -> tuple[float, float]:
+    """(||S*S - SS*||_F, ||S||_F) for S already unit-scaled (``_unit_scale``)."""
     return fro(_adj(S) @ S - S @ _adj(S)), fro(S)
 
 
 def normality_defect(M: np.ndarray) -> float:
     """Relative commutation defect ||M*M - MM*||_F / ||M||_F^2 (0 for M = 0),
     the same for every 2^k M."""
-    gap, norm = _normality(M)
+    gap, norm = _normality(_unit_scale(np.asarray(M, dtype=complex))[0])
     return gap / norm**2 if gap else 0.0
 
 
@@ -329,7 +329,7 @@ def _hermitian_test(S: np.ndarray, tol: Tolerances):
 
 
 def is_normal(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    gap, norm = _normality(M)
+    gap, norm = _normality(_unit_scale(np.asarray(M, dtype=complex))[0])
     return gap <= _band(norm, tol.structural, 2)
 
 
@@ -345,20 +345,25 @@ def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> n
     """0.5 (M + M*), for a matrix or for each member of a stack (B, n, n),
     once each passes ``is_hermitian``; else NotHermitianError names the
     first member that fails, as name[b], with its defect ||M - M*||_F."""
-    _unit_hermitian(M, tol, name)
+    _check_hermitian(M, tol, name)
     return 0.5 * (M + _adj(M))
 
 
-def _unit_hermitian(M: np.ndarray, tol: Tolerances, name: str):
-    """``require_hermitian`` on S = M / 2^e (``_unit_scale``), returning
-    (0.5 (S + S*), e): the eigensolvers take both as they are, so the
-    check's scaling pass is their only one."""
+def _check_hermitian(M: np.ndarray, tol: Tolerances, name: str):
+    """(S, e), S = M / 2^e (``_unit_scale``), once S passes ``is_hermitian``."""
     S, e = _unit_scale(M)
     bad = np.flatnonzero(np.logical_not(_hermitian_test(S, tol)))
     if bad.size:
         b = bad[0]
         label, member = (f"{name}[{b}]", M[b]) if M.ndim > 2 else (name, M)
         raise NotHermitianError(f"{label} is not Hermitian: defect {fro(member - _adj(member)):.3e}")
+    return S, e
+
+
+def _unit_hermitian(M: np.ndarray, tol: Tolerances, name: str):
+    """(0.5 (S + S*), e) for ``_check_hermitian``'s S: the eigensolvers take
+    both as they are, so the check's scaling pass is their only one."""
+    S, e = _check_hermitian(M, tol, name)
     return 0.5 * (S + _adj(S)), e
 
 
@@ -366,7 +371,7 @@ def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix"):
     """(S, e), S = M / 2^e (``_unit_scale``), once S passes ``is_normal``;
     else NotNormalError.  ``normal_eigen`` rotates the S it tested."""
     S, e = _unit_scale(M)
-    gap, norm = fro(_adj(S) @ S - S @ _adj(S)), fro(S)
+    gap, norm = _normality(S)
     if gap > _band(norm, tol.structural, 2):
         raise NotNormalError(f"{name} is not normal: defect {gap / norm**2:.3e}")
     return S, e
@@ -374,18 +379,25 @@ def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix"):
 
 def cartesian_parts(T) -> CartesianPair:
     """Split T into Hermitian re/im parts: re = (T+T*)/2, im = (T-T*)/(2i)."""
-    T = as_matrix(T, "T")
-    re = 0.5 * (T + _adj(T))
-    im = (T - _adj(T)) / 2j
-    return CartesianPair(re=re, im=im)
+    return CartesianPair(*_cartesian(as_matrix(T, "T")))
+
+
+def _cartesian(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re T, Im T), each exactly Hermitian, of a T that passed ``as_matrix``."""
+    return 0.5 * (T + _adj(T)), _im_part(T)
+
+
+def _im_part(T: np.ndarray) -> np.ndarray:
+    """Im T alone, for callers that read nothing else (``_cartesian``)."""
+    return (T - _adj(T)) / 2j
 
 
 def recompose(pair: CartesianPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of cartesian_parts; rejects non-Hermitian parts."""
     re = as_matrix(pair.re, "re part")
     im = as_matrix(pair.im, "im part")
-    require_hermitian(re, tol, "re part")
-    require_hermitian(im, tol, "im part")
+    _check_hermitian(re, tol, "re part")
+    _check_hermitian(im, tol, "im part")
     return re + 1j * im
 
 
@@ -681,9 +693,9 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
     """Eigenvalues of H, ascending, for H finite and exactly Hermitian (H[i, j]
     == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks,
-    for callers that built H that way (``cartesian_parts`` of a checked
-    matrix).  Given e, H is taken as already normalised, H' / 2^e as
-    ``_unit_hermitian`` returns it, and the values of H' come back.
+    for callers that built H that way (``_cartesian`` or ``cartesian_parts``
+    of a checked matrix).  Given e, H is taken as already normalised, H' /
+    2^e as ``_unit_hermitian`` returns it, and the values of H' come back.
 
     H is normalised (``_unit_scale``) unless e is given, reduced to a real
     symmetric tridiagonal (d, off) by Householder reflections (on Python

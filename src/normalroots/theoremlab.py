@@ -25,19 +25,21 @@ from .linalg import (
     Tolerances,
     _adj,
     _band,
+    _cartesian,
+    _check_hermitian,
     _eigvals,
+    _hermitian_test,
+    _im_part,
     _normality,
     _ldexp,
     _unit_scale,
     as_matrix,
-    cartesian_parts,
     expi,
     fro,
     hermitian_eigen,
     hermitian_eigen_batch,
     hermitian_eigvals,
     is_hermitian,
-    require_hermitian,
 )
 
 __all__ = [
@@ -365,7 +367,7 @@ def numerical_range_contains_zero(M, tol: Tolerances = DEFAULT_TOL) -> RangeCert
 def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
     band = _band(fro(M), tol.structural)
 
-    if is_hermitian(M, tol):
+    if _hermitian_test(M, tol):  # M is unit-scaled already
         eig = hermitian_eigen(M, tol)
         lo, hi = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
         margin = max(lo, -hi)  # distance by which the interval avoids 0
@@ -390,8 +392,7 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
             True, -val, witness_vector=np.ones(1, dtype=complex), witness_value=val
         )
 
-    parts = cartesian_parts(M)
-    A, B = parts.re, parts.im
+    A, B = _cartesian(M)
     thetas, X, decided, best_theta, best_margin = _best_angle(A, B, band, tol)
     if best_margin > band:
         return RangeCertificate(False, best_margin, witness_angle=best_theta % (2 * np.pi))
@@ -445,14 +446,13 @@ def classify_root_of_selfadjoint(
     C = as_matrix(C, "C")
     if T.shape != C.shape:
         raise LinalgError("T and C must share one square dimension")
-    require_hermitian(C, tol, "C")
+    _check_hermitian(C, tol, "C")
     S, e = _unit_scale(T)
     D = _ldexp(C, -2 * e)
     norm = fro(S)
     if not fro(S @ S - D) <= _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = C fails beyond residual tolerance")
-    parts = cartesian_parts(S)
-    A, B = parts.re, parts.im
+    A, B = _cartesian(S)
     sys_res = (
         _ldexp(fro(A @ A - B @ B - D), 2 * e),
         _ldexp(fro(A @ B + B @ A), 2 * e),
@@ -544,8 +544,7 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     square = fro(S @ S)
     if square > _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
-    parts = cartesian_parts(S)
-    la, lb = _eigvals(parts.re), _eigvals(parts.im)
+    la, lb = map(_eigvals, _cartesian(S))
     band = _band(norm, tol.structural)
     ind = INDETERMINATE_FACTOR * band
     hypotheses = {
@@ -614,9 +613,7 @@ def _commutators(T) -> tuple[float, float, float, int]:
     """The residuals of ``commutator_identities`` and ||S||_F, all on S =
     T / 2^e (``linalg._unit_scale``), and e."""
     S, e = _unit_scale(as_matrix(T, "T"))
-    ab = cartesian_parts(S)
-    cd = cartesian_parts(S @ S)
-    A, B, C, D = ab.re, ab.im, cd.re, cd.im
+    (A, B), (C, D) = _cartesian(S), _cartesian(S @ S)
 
     def comm(X, Y):
         return X @ Y - Y @ X
@@ -659,30 +656,24 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
 
     Every test is taken on M = T / 2^e (``linalg._unit_scale``) against the
     band of ||M||_F^k (``linalg._band``), and the defect and the commutation
-    residual are scaled back exactly.
+    residual are scaled back exactly.  Im T's spectrum (a second values solve)
+    is taken only when Re T is not sign-definite, Im T^2 only when a part is.
     """
-    T = as_matrix(T, "T")
-    M, e = _unit_scale(T)
-    parts = cartesian_parts(M)
-    A, B = parts.re, parts.im
-    D = cartesian_parts(M @ M).im
+    M, e = _unit_scale(as_matrix(T, "T"))
+    A, B = _cartesian(M)
     gap, norm = _normality(M)
     band = _band(norm, tol.structural)
-    la = _eigvals(A)
-    lb = _eigvals(B)
-    if _definite(la, band):
-        applicable, part = "re", A
-    elif _definite(lb, band):
-        applicable, part = "im", B
-    else:
-        applicable, part = None, None
-
     defect = _ldexp(gap, 2 * e)
     thr_n = _band(norm, tol.structural, 2)
     normal = gap <= thr_n
-    if applicable is None:
+    if _definite(_eigvals(A), band):
+        applicable, part = "re", A
+    elif _definite(_eigvals(B), band):
+        applicable, part = "im", B
+    else:
         return NormalityReport(applicable=None, defect=defect, normal=normal)
 
+    D = _im_part(M @ M)
     scaled_cres = fro(part @ D - D @ part)
     thr_c = _band(norm, tol.structural, 3)
     commutes = scaled_cres <= thr_c

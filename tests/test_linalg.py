@@ -552,6 +552,7 @@ def _values_only_callers(tmp_path):
     H = random_hermitian(rng, 5)
     U = random_unitary(rng, 4)
     D = (U * np.array([0.5, 1.0, 2.0, 3.0])) @ U.conj().T  # positive definite
+    K = (U * np.array([-2.0, -1.0, 1.0, 2.0])) @ U.conj().T  # indefinite
     J = theoremlab.sample_nilpotent(4, seed=3)
     return {
         "operator_norm": lambda: operator_norm(random_dense(rng, 6)),
@@ -560,7 +561,10 @@ def _values_only_callers(tmp_path):
         "spectra_disjoint": lambda: theoremlab.spectra_disjoint(H, H + 10.0 * np.eye(5)),
         "classify_root_of_selfadjoint": lambda: theoremlab.classify_root_of_selfadjoint(1j * D, -D @ D),
         "check_zero_square": lambda: theoremlab.check_zero_square(J),
+        # Im T is solved only when Re T is not sign-definite.
         "normality_equivalence": lambda: theoremlab.normality_equivalence(D + 0.5j * H[:4, :4]),
+        "normality_equivalence im": lambda: theoremlab.normality_equivalence(K + 1j * D),
+        "normality_equivalence neither": lambda: theoremlab.normality_equivalence(K + 0.5j * K @ D),
         "cli volterra": lambda: cli.main(["volterra", "--n", "12", "--json", str(tmp_path / "v.json")]),
     }
 
@@ -568,7 +572,8 @@ def _values_only_callers(tmp_path):
 @pytest.mark.parametrize("caller, values", [
     ("operator_norm", 1), ("classify", 1), ("sign_case", 1), ("spectra_disjoint", 2),
     ("classify_root_of_selfadjoint", 2), ("check_zero_square", 2),
-    ("normality_equivalence", 2), ("cli volterra", 2),
+    ("normality_equivalence", 1), ("normality_equivalence im", 2),
+    ("normality_equivalence neither", 2), ("cli volterra", 2),
 ])
 def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller, values):
     run = _values_only_callers(tmp_path)[caller]

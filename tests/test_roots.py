@@ -246,9 +246,9 @@ def test_roots_correct_at_every_scale(rng, k):
 
 
 def test_nth_root_of_high_order_keeps_the_input_normalised():
-    # The exponent is a multiple of n at or below N's, so N / 2^e never
-    # drops under the absolute floors (normal_eigen's cluster gap, psd_root's
-    # clamp band).
+    # The exponent is the largest multiple of n at or below N's (here 0), so
+    # N / 2^e peaks at 1/2 or more; a round-to-nearest exponent (70) would
+    # have scaled both inputs to 2^-35.
     N = -(2.0**35) * np.eye(2)
     T = nth_root(N, 70).root
     assert fro(np.linalg.matrix_power(T, 70) - N) <= 1e-12 * fro(N)
