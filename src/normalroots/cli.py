@@ -275,6 +275,8 @@ def _run_volterra(args, tol, inputs):
 def _run_nilpotent_search(args, tol, inputs):
     if args.trials < 1 or args.dim < 1:
         raise LinalgError("--trials and --dim must be positive")
+    if args.seed < 0:
+        raise LinalgError("--seed must be non-negative")
     violations = []
     nonzero = 0
     # Worst case over the campaign: how close any nonzero sample came to

@@ -5,10 +5,12 @@ Three constructions, plus a spectral oracle:
 * sqrt_signdef -- explicit normal square root A +- iB of N = C + iD when
   the imaginary part D is sign-definite, A and B the psd roots of
   (|N| +- C)/2, computed from S = A + B = (|N| +- D)^{1/2} and A - B =
-  S^+ C so that nothing cancels: two vector eigensolves.
+  S^+ C so that nothing cancels: two vector eigensolves.  Only |N|'s runs
+  Jacobi from V = I; S's starts from |N|'s eigenbasis W, on which
+  |N| +- D is diagonal but for D's blocks on repeated eigenvalues of |N|.
 * root_pow2n   -- 2^n-th root by iterating sqrt_signdef; every intermediate
   has a sign-definite imaginary part by construction, and |N| is factorized
-  once for the chain: n + 1 vector eigensolves.
+  once for the chain: n + 1 vector eigensolves, each S solve from W.
 * nth_root     -- nth root of any normal N via the commuting polar form,
   |N|^{1/n} e^{i(A + 2k pi I)/n}, one root per branch integer k.
 * spectral_sqrt -- principal square root applied eigenvalue-wise; serves as
@@ -175,7 +177,10 @@ def sqrt_signdef(N, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     |Im z|)^{1/2}, A - B = S^+ C, so A = (S + S^+ C)/2 and B = (S - S^+ C)/2.
     Two vector eigensolves (|N| and S, never N itself, so the construction
     stays independent of ``spectral_sqrt``), all on N / 4^j
-    (``linalg._unit_scale``) and scaled back by 2^j.
+    (``linalg._unit_scale``) and scaled back by 2^j.  The |N| solve runs
+    Jacobi from V = I; the S solve starts from |N|'s eigenbasis W, where D,
+    which commutes with |N|, is diagonal up to rounding outside the blocks
+    of repeated eigenvalues of |N| (``_signdef_chain``).
     """
     return _signdef_chain(N, 1, tol)[1]
 
@@ -186,7 +191,8 @@ def root_pow2n(N, n: int, tol: Tolerances = DEFAULT_TOL) -> RootCertificate:
     Each intermediate root R has imaginary part +-B, sign-definite by
     construction; every stage re-checks normality and the sign case rather
     than assuming them.  R is normal with R*R = |N|, so |R| = |N|^{1/2}:
-    |N| is factorized once, and the chain makes n + 1 vector eigensolves.
+    |N| is factorized once, from V = I, and the chain makes n + 1 vector
+    eigensolves, each stage's S solve starting from |N|'s eigenbasis.
     """
     return _signdef_chain(N, n, tol)[1]
 
@@ -199,9 +205,13 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
     (``linalg._unit_scale``) and scales the square root of X back by 2^t.
     |X| = W diag(sigma) W*: the first stage factorizes it, and each later
     one takes the square root of the last sigma times the power of two
-    between the two scales, since |R_{j+1}| = |R_j|^{1/2}.  S^+ counts the
-    eigenvalues of S^2 at or below ``linalg._noise_floor`` as 0: there z = 0
-    up to rounding, and so is C.
+    between the two scales, since |R_{j+1}| = |R_j|^{1/2}.  Each S solve
+    starts from W: Im X commutes with |X|, so S^2 = |X| + s Im X is solved
+    as diag(sigma) + s W* Im X W, diagonal up to rounding but for Im X's
+    blocks on repeated sigma, and its vectors U' give U = W U'.  (Jacobi
+    itself starts every solve from V = I; the basis W is in the matrix.)
+    S^+ counts the eigenvalues of S^2 at or below ``linalg._noise_floor``
+    as 0: there z = 0 up to rounding, and so is C.
     """
     N = as_matrix(N, "N")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -220,8 +230,8 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
         else:
             sigma = _ldexp(np.sqrt(sigma), half - e)
         s = 1.0 if sign == "nonneg" else -1.0
-        eig = _psd_eigen(_spectral_map(W, sigma) + s * parts.im, tol)
-        U, tau = eig.vectors, eig.eigenvalues
+        eig = _psd_eigen(np.diag(sigma) + s * (_adj(W) @ parts.im @ W), tol)
+        U, tau = W @ eig.vectors, eig.eigenvalues
         root_tau = np.sqrt(tau)
         inv = np.divide(1.0, root_tau, out=np.zeros_like(tau), where=tau > _noise_floor(tau))
         # On S's eigenbasis: A + B = S, and A - B = S^+ C made Hermitian

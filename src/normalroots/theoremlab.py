@@ -15,6 +15,7 @@ point of the lab is falsification with evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -730,9 +731,17 @@ def volterra_matrix(n: int) -> np.ndarray:
 
 def exp_periodicity_residual(A, k: int, tol: Tolerances = DEFAULT_TOL) -> float:
     """|| e^{i(A + 2k pi I)} - e^{iA} ||_F for Hermitian A; zero in exact
-    arithmetic for every integer k."""
+    arithmetic for every integer k.  LinalgError when 2 pi k is not a finite
+    float (|k| beyond about 2.9e307)."""
     A = as_matrix(A, "A")
     if not isinstance(k, (int, np.integer)):
         raise ValueError("k must be an integer")
-    shifted = A + 2.0 * np.pi * int(k) * np.eye(A.shape[0])
+    try:
+        shift = 2.0 * np.pi * int(k)
+    except OverflowError:  # no float holds int(k)
+        shift = math.inf
+    if not math.isfinite(shift):
+        digits = len(str(abs(int(k))))
+        raise LinalgError(f"k of {digits} digits is too large: 2 pi k is not a finite float")
+    shifted = A + shift * np.eye(A.shape[0])
     return fro(expi(shifted, tol) - expi(A, tol))

@@ -187,6 +187,7 @@ def test_cli_precondition_failure_exits_1(tmp_path):
     ["volterra", "--n", "0"],
     ["nilpotent-search", "--trials", "0"],
     ["nilpotent-search", "--dim", "0"],
+    ["nilpotent-search", "--seed", "-1"],
 ])
 def test_cli_nonpositive_count_exits_1(tmp_path, capsys, argv):
     path = _write(tmp_path, "N.mat", np.eye(2))
@@ -273,6 +274,13 @@ def test_cli_exp_periodicity(tmp_path):
     rpt = tmp_path / "r.json"
     assert main(["exp-periodicity", a_path, "--k", "-3", "--json", str(rpt)]) == 0
     assert _read_report(rpt)["results"]["within_bound"] is True
+
+
+def test_cli_exp_periodicity_beyond_the_float_range_exits_1(tmp_path, capsys):
+    a_path = _write(tmp_path, "A.mat", np.diag([np.pi / 2]).astype(complex))
+    assert main(["exp-periodicity", a_path, "--k", "1" + "0" * 400]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "k of 401 digits" in err and "Traceback" not in err
 
 
 def test_cli_determinism(tmp_path):

@@ -582,27 +582,57 @@ def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller
     assert calls == {"hermitian_eigen": 0, "hermitian_eigvals": values}
 
 
+def _solves_and_sweeps(monkeypatch, run) -> tuple[dict, list]:
+    """``_count_solves`` of run(), and the serial Jacobi sweeps (calls of
+    linalg._cyclic_sweep) of each of its vector solves, in call order."""
+    from normalroots import linalg
+
+    calls = _count_solves(monkeypatch)
+    sweeps: list = []
+    original = linalg._cyclic_sweep
+
+    def counted(*args):
+        solve = calls["hermitian_eigen"] - 1
+        sweeps.extend([0] * (solve + 1 - len(sweeps)))
+        sweeps[solve] += 1
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_cyclic_sweep", counted)
+    run()
+    return calls, sweeps + [0] * (calls["hermitian_eigen"] - len(sweeps))
+
+
+def _abs_sweeps(N) -> int:
+    """Sweeps of |N|'s solve from V = I: abs_op's, on the same unit-scaled
+    N*N as the chain's."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _solves_and_sweeps(mp, lambda: abs_op(N))[1][0]
+
+
 def test_sqrt_signdef_eigensolve_count(monkeypatch):
     # |N| and S = (|N| + sD)^{1/2} take vector solves; the sign case takes
     # the values core on Im N, which is exactly Hermitian by construction.
+    # S is solved on |N|'s eigenbasis W, where |N| + sD is diagonal up to
+    # rounding: at most 2 sweeps (from V = I this input takes 5).
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
-    calls = _count_solves(monkeypatch)
-    roots.sqrt_signdef(N)
+    calls, sweeps = _solves_and_sweeps(monkeypatch, lambda: roots.sqrt_signdef(N))
     assert calls == {"hermitian_eigen": 2, "hermitian_eigvals": 1}
+    assert sweeps[0] == _abs_sweeps(N) and sweeps[1] <= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_root_pow2n_eigensolve_count(monkeypatch, n):
     # |N| is factorized once for the whole chain; each stage adds one vector
-    # solve (its S) and one values solve (its sign case).
+    # solve (its S, on |N|'s eigenbasis: at most 2 sweeps) and one values
+    # solve (its sign case).
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
-    calls = _count_solves(monkeypatch)
-    roots.root_pow2n(N, n)
+    calls, sweeps = _solves_and_sweeps(monkeypatch, lambda: roots.root_pow2n(N, n))
     assert calls == {"hermitian_eigen": n + 1, "hermitian_eigvals": n}
+    assert sweeps[0] == _abs_sweeps(N) and max(sweeps[1:]) <= 2
 
 
 # --- hermitian_eigen_batch --------------------------------------------------

@@ -83,16 +83,20 @@ def test_sqrt_conjugate_symmetry(rng):
     assert fro(direct - via_adjoint) <= 1e-9 * (1.0 + fro(N))
 
 
-def _signdef_input(seed, d, sign, fixed=()):
+def _signdef_input(seed, d, sign, fixed=(), order=2):
     """N = Q diag(mu) Q* with Im N sign-definite, mu starting with fixed, and
-    its Cartesian root Q diag(a + isb) Q*, a, b = sqrt((|mu| +- Re mu)/2)."""
+    its Cartesian root Q diag(a + isb) Q*, a, b = sqrt((|mu| +- Re mu)/2);
+    for order 2^n, its root |mu|^(1/2^n) e^(is|arg mu|/2^n) instead."""
     rng = np.random.default_rng(seed)
     s = 1.0 if sign == "nonneg" else -1.0
     mu = rng.uniform(0.2, 3.0, d) * np.exp(1j * s * rng.uniform(0.0, np.pi, d))
     mu[:len(fixed)] = fixed
     Q = random_unitary(rng, d)
     mods = np.abs(mu)
-    root = np.sqrt((mods + mu.real) / 2) + 1j * s * np.sqrt((mods - mu.real) / 2)
+    if order == 2:
+        root = np.sqrt((mods + mu.real) / 2) + 1j * s * np.sqrt((mods - mu.real) / 2)
+    else:
+        root = mods ** (1.0 / order) * np.exp(1j * s * np.abs(np.angle(mu)) / order)
     return (Q * mu) @ Q.conj().T, (Q * root) @ Q.conj().T
 
 
@@ -115,15 +119,27 @@ def test_sqrt_of_positive_definite_matches_eigh(d):
 
 
 @pytest.mark.parametrize("sign", ["nonneg", "nonpos"])
-@pytest.mark.parametrize("axis", [1.0, -1.0])
+@pytest.mark.parametrize("axis", [1.0, -1.0, "unit-circle", "two-moduli"])
 def test_sqrt_with_eigenvalues_on_the_real_axis(sign, axis):
     # 30% of the eigenvalues on one half of the real axis, where |z| -+ Re z
-    # vanishes for the old formula (forward error 1e-8 to 3e-8).
+    # vanishes for the old formula (forward error 1e-8 to 3e-8).  The other
+    # two spectra repeat moduli: all on the unit circle (|N| = I), or in two
+    # groups of equal modulus.  There the eigenbasis W of |N| leaves blocks
+    # of D off the diagonal for the S solves to rotate (worst 1.9e-15, and
+    # 2.5e-15 on the real axis, for both constructions).
     for seed in range(20):
         d = 3 + seed % 6
-        fixed = axis * np.random.default_rng(seed + 100).uniform(0.2, 3.0, round(0.3 * d))
+        rng = np.random.default_rng(seed + 100)
+        if axis in (1.0, -1.0):
+            fixed = axis * rng.uniform(0.2, 3.0, round(0.3 * d))
+        else:
+            s = 1.0 if sign == "nonneg" else -1.0
+            mods = np.ones(d) if axis == "unit-circle" else np.where(np.arange(d) % 2, 0.5, 2.0)
+            fixed = mods * np.exp(1j * s * rng.uniform(0.1, np.pi - 0.1, d))
         N, expected = _signdef_input(seed, d, sign, fixed)
         assert _forward_error(sqrt_signdef(N), expected) <= 1e-12
+        N, expected = _signdef_input(seed, d, sign, fixed, order=8)
+        assert _forward_error(root_pow2n(N, 3), expected) <= 1e-12
 
 
 @pytest.mark.parametrize("fixed, forward, residual", [

@@ -937,6 +937,22 @@ def test_periodicity_random(rng):
         assert exp_periodicity_residual(A, k) <= 1e-11 * 8
 
 
+@pytest.mark.parametrize("k", [10**400, 3 * 10**307, -(10**308)])
+def test_periodicity_rejects_k_past_the_float_range(k):
+    # 2 pi k overflows, or int(k) has no float at all: a LinalgError, which
+    # the CLI turns into exit 1.
+    with pytest.raises(LinalgError, match=f"k of {len(str(abs(k)))} digits"):
+        exp_periodicity_residual(np.eye(2), k)
+
+
+def test_periodicity_shift_is_unchanged_for_small_k(rng):
+    A = random_hermitian(rng, 5)
+    for k in range(-11, 8):
+        shifted = A + 2.0 * np.pi * k * np.eye(5)
+        expected = fro(linalg.expi(shifted) - linalg.expi(A))
+        assert exp_periodicity_residual(A, np.int64(k)) == expected
+
+
 def test_periodicity_eigenangle_shift_oracle(rng):
     # shifting the spectrum by 2k pi must leave the exponential's spectrum fixed
     A = random_hermitian(rng, 6)
