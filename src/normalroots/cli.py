@@ -206,7 +206,7 @@ def _run_root(args, tol, inputs):
     N = _load(args.matrix, inputs)
     if args.n < 1:
         raise LinalgError("--n must be a positive integer")
-    branches = list(range(args.n)) if args.all_branches else [args.k or 0]
+    branches = range(args.n) if args.all_branches else [args.k or 0]
     certs = [nth_root(N, args.n, k, tol) for k in branches]
     if args.out:
         save_matrix(args.out, certs[0].root)
@@ -367,8 +367,9 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (LinalgError, ConvergenceError, MatrixFormatError, OSError) as exc:
-        print(f"normalroots: {exc}", file=sys.stderr)
+    except (LinalgError, ConvergenceError, MatrixFormatError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it failed to allocate; a bare one is empty.
+        print(f"normalroots: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PRECONDITION
     if code == EXIT_VIOLATION:
         print("normalroots: THEOREM VIOLATION reported", file=sys.stderr)

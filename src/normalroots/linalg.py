@@ -8,45 +8,38 @@ the unitary exponential/logarithm pair with the principal branch fixed to
 (-pi, pi].
 
 Callers pass matrices Hermitian (or, to ``normal_eigen``, normal) within
-tolerance; every eigensolver tests and scales them in one pass,
+tolerance.  Each public eigensolver tests and scales them in one pass,
 ``_unit_hermitian`` (which also symmetrises) or ``require_normal``, after
-``as_matrix`` (the stacked engine checks shape and finiteness itself):
+``as_matrix`` (the stacked engine checks shape and finiteness itself).
+Internal callers that have already scaled and tested their matrix hand it,
+symmetrised, to the cores ``_jacobi`` and ``_eigvals``: one scaling pass
+and at most one Hermitian test per solve.  Solve counts are read there.
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
-  tridiagonalization, then implicit QL on Python floats.  It serves every
-  caller that discards the vectors: ``operator_norm`` (and the CLI
-  ``volterra`` command), the psd/nsd flags of ``classify``,
-  ``roots.sign_case`` and ``theoremlab.spectra_disjoint``.  Its checks
-  guard outside input; the work is done by the private core ``_eigvals``,
-  which takes a matrix that is finite and exactly Hermitian by construction.
-  Only the theorem-lab checks (``check_zero_square``,
-  ``normality_equivalence``, which solves Im T only when Re T is not
-  sign-definite, and the gap test of ``classify_root_of_selfadjoint``) call
-  the core directly, on the parts ``_cartesian`` forms once from their
-  unit-scaled copy, and so does the sign case of ``roots.sqrt_signdef``, on
-  ``cartesian_parts`` of a checked matrix.  The reduction runs on Python
-  numbers up to n = ``_SCALAR_REDUCTION_MAX_N`` (8; the two break even near
-  n = 10) and as a numpy loop above, where its O(n^2) work per column
-  outweighs the dozen numpy calls.  QL takes about two O(n) iterations per
-  eigenvalue, data-dependent and capped (ConvergenceError), against O(n^2)
-  rotations per Jacobi sweep.
+  tridiagonalization, then implicit QL on Python floats, in the core
+  ``_eigvals``.  Every caller that discards the vectors uses it:
+  ``operator_norm`` (and the CLI ``volterra`` command), ``classify``,
+  ``roots.sign_case`` and ``theoremlab.spectra_disjoint``; the theorem-lab
+  checks and the sign case of ``roots.sqrt_signdef`` call the core on the
+  exactly Hermitian Cartesian parts they form.  The reduction runs on
+  Python numbers up to n = ``_SCALAR_REDUCTION_MAX_N`` (8; the two break
+  even near n = 10) and as a numpy loop above.  QL takes about two O(n)
+  iterations per eigenvalue, data-dependent and capped (ConvergenceError),
+  against O(n^2) rotations per Jacobi sweep.
 - ``hermitian_eigen`` and ``normal_eigen`` run the serial engine, cyclic
   Jacobi on one matrix that rotates its Cartesian parts Re A and Im A
-  jointly (``_cyclic_sweep``), and return the vectors too.  Every
-  construction that needs an eigenbasis of one matrix goes through it:
-  ``psd_root``, ``expi`` and the Hermitian case of the numerical-range
-  test, and ``polar_normal``, ``unitary_log`` and ``roots.spectral_sqrt``
-  through ``normal_eigen``.  The vectors stay on Jacobi because Jacobi's
-  are orthogonal to working precision even inside clusters of equal
-  eigenvalues, which the constructions rely on; a faster vector engine
-  (inverse iteration on the tridiagonal form) has not yet matched that.
-- ``hermitian_eigen_batch`` runs round-robin Jacobi on a stack of matrices,
-  rotating n/2 disjoint pairs of every member at once.  It serves callers
-  that need many small eigensolves together: the Hermitian Sylvester solve
-  (both coefficients in one call) and the angle search of the
-  numerical-range test.  On one matrix it is slower than the serial loop
-  below n = 8 and faster from there, but single solves stay serial for
-  now.
+  jointly (``_cyclic_sweep``), and return the vectors too; so do ``expi``,
+  ``_psd_eigen`` (``psd_root``, ``abs_op``, ``roots.sqrt_signdef``), the
+  Hermitian case of the numerical-range test, and through ``normal_eigen``
+  ``polar_normal``, ``unitary_log`` and ``roots.spectral_sqrt``.  Jacobi's
+  vectors are orthogonal to working precision even inside clusters of
+  equal eigenvalues, which the constructions rely on (inverse iteration on
+  the tridiagonal form has not yet matched that).
+- ``hermitian_eigen_batch`` runs round-robin Jacobi (``_round_robin_sweep``)
+  on a stack, rotating n/2 disjoint pairs of every member at once, as do
+  the Hermitian Sylvester solve (both coefficients in one call) and the
+  angle search of the numerical-range test.  On one matrix it is slower
+  than the serial loop below n = 8 and faster from there.
 
 Every power-of-two exponent in the package comes from ``_unit_scale``, and
 all three eigensolvers work on its exactly scaled matrix A, so 2^k H gives
@@ -58,16 +51,14 @@ The two Jacobi engines differ in the order of their rotations, in the
 level below which they leave a pair alone, and in the serial engine's
 second stop rule (each sweep's docstring); on Hermitian input both rotate
 by |theta| <= pi/4.  Everything else is one contract, ``_jacobi``, for a
-matrix and for each member of a stack alike.  ``_unit_hermitian`` tests
-the input and names the first member that fails as H[b].  Each member is
-normalised on its own, A = H / 2^e, and starts from V = I.  It stops once
-its off-diagonal norm is at most threshold = ``_JACOBI_TOL`` * ||A||_F, a
-relative rule with no absolute floor (Demmel & Veselic 1992).  After
-``_MAX_SWEEPS`` sweeps a ConvergenceError quotes the norms in H's units,
-with "member b" for a stack.  Eigenvalues come back ascending (a stable
-sort; for ``normal_eigen`` by real part, then imaginary part) and times
-2^e, with the columns of V permuted to match.  So a member of a stack gets
-bit for bit the result it gets in a stack of one.
+matrix and for each member of a stack alike.  Each member is normalised on
+its own, A = H / 2^e, starts from V = I and stops once its off-diagonal
+norm is at most threshold = ``_JACOBI_TOL`` * ||A||_F, a relative rule with
+no absolute floor (Demmel & Veselic 1992).  After ``_MAX_SWEEPS`` sweeps a
+ConvergenceError quotes the norms in H's units, with "member b" for a stack.
+Eigenvalues come back ascending (a stable sort; for ``normal_eigen`` by
+real part, then imaginary part) and times 2^e, with the columns of V
+permuted to match: a stack member gets bit for bit its result alone.
 
 Every matrix function here (``psd_root``, ``expi``, ``unitary_log``,
 ``polar_normal``) and ``roots.spectral_sqrt`` evaluates a scalar function on
@@ -692,10 +683,9 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
     """Eigenvalues of H, ascending, for H finite and exactly Hermitian (H[i, j]
-    == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks,
-    for callers that built H that way (``_cartesian`` or ``cartesian_parts``
-    of a checked matrix).  Given e, H is taken as already normalised, H' /
-    2^e as ``_unit_hermitian`` returns it, and the values of H' come back.
+    == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks.
+    Given e, H is taken as H' / 2^e, normalised already as
+    ``_unit_hermitian`` returns it, and the values of H' come back.
 
     H is normalised (``_unit_scale``) unless e is given, reduced to a real
     symmetric tridiagonal (d, off) by Householder reflections (on Python
@@ -706,8 +696,8 @@ def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
     <= eps^2 |d_m| |d_m+1| + safmin; the safmin term also deflates a
     zero-diagonal block with a tiny off-diagonal and keeps the shift finite.
     The error is a small multiple of n * eps * ||H||_2, and 2^k H gives
-    exactly 2^k times the values of H.  The number of QL iterations depends on the data; past
-    _QL_MAX_ITER per eigenvalue, ConvergenceError reports norms in H's units.
+    exactly 2^k times the values of H.  Past _QL_MAX_ITER (data-dependent)
+    QL iterations per eigenvalue, ConvergenceError quotes norms in H's units.
     """
     A, e = _unit_scale(H) if e is None else (H, e)
     if not A.imag.any():
@@ -779,17 +769,17 @@ def _branch_cut(mu: np.ndarray, tol: Tolerances) -> np.ndarray:
 def _psd_eigen(P: np.ndarray, tol: Tolerances) -> HermitianEigen:
     """Eigenpairs of a psd matrix, the eigenvalues clamped to 0 from below.
 
-    Negative eigenvalues within the band of ||P||_F (``_band``, on P / 2^e)
-    are treated as rounding noise; anything more negative raises
-    IndefiniteError.  ``psd_root`` (and so ``abs_op``) and
-    ``roots.sqrt_signdef`` take their psd eigenpairs here.
+    One ``_check_hermitian`` pass gives S = P / 2^e to the serial engine and
+    to the psd test: eigenvalues down to minus the band of ||S||_F (``_band``)
+    are rounding noise, more negative ones raise IndefiniteError.
+    ``psd_root`` (so ``abs_op``) and ``roots.sqrt_signdef`` call it.
     """
-    S, e = _unit_scale(P)
-    eig = hermitian_eigen(S, tol)
-    lam_min = float(eig.eigenvalues[0])
+    S, e = _check_hermitian(P, tol, "H")
+    lam, V = _jacobi(0.5 * (S + _adj(S)), 0, _cyclic_sweep)
+    lam_min = float(lam[0].real)
     if -lam_min > _band(fro(S), tol.structural):
         raise IndefiniteError(f"matrix is not psd: lambda_min = {_ldexp(lam_min, e):.3e}")
-    return HermitianEigen(_ldexp(np.clip(eig.eigenvalues, 0.0, None), e), eig.vectors)
+    return HermitianEigen(_ldexp(np.clip(lam.real, 0.0, None), e), V)
 
 
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     IndefiniteError,
+    LinalgError,
     Tolerances,
     _adj,
     _band,
@@ -252,14 +253,19 @@ def nth_root(N, n: int, k: int = 0, tol: Tolerances = DEFAULT_TOL) -> RootCertif
     of N on the negative real axis (to within rounding) gives e^{i pi/n} on
     branch 0, as ``spectral_sqrt`` does for n = 2.  Any integer k is
     accepted and reduced modulo n exactly (the certificate keeps k), so k
-    and k + mn give the same root for every integer m.  The root of
-    N / 2^(nj) (``linalg._unit_scale``) is scaled back by 2^j.
+    and k + mn give the same root for every integer m; an n past the float
+    range (about 1.8e308) raises LinalgError.  The root of N / 2^(nj)
+    (``linalg._unit_scale``) is scaled back by 2^j.
     """
     N = as_matrix(N, "N")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("n must be a positive integer")
     if not isinstance(k, (int, np.integer)):
         raise ValueError("branch k must be an integer")
+    try:
+        float(n)  # 1/n and 2 pi k / n take n as a float
+    except OverflowError:
+        raise LinalgError(f"n of {len(str(n))} digits is too large: not a finite float") from None
     S, e = _unit_scale(N, step=int(n))
     form = polar_normal(S, tol)
     A = unitary_log(form.unitary, tol)

@@ -28,19 +28,19 @@ from .linalg import (
     _band,
     _cartesian,
     _check_hermitian,
+    _cyclic_sweep,
     _eigvals,
     _hermitian_test,
     _im_part,
+    _jacobi,
     _normality,
     _ldexp,
+    _round_robin_sweep,
     _unit_scale,
     as_matrix,
     expi,
     fro,
-    hermitian_eigen,
-    hermitian_eigen_batch,
     hermitian_eigvals,
-    is_hermitian,
 )
 
 __all__ = [
@@ -128,9 +128,10 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
         raise LinalgError("a, b, s must share one square dimension")
     e, f = max(_unit_scale(a)[1], _unit_scale(b)[1]), _unit_scale(s)[1]
     a, b, s = _ldexp(a, -e), _ldexp(b, -e), _ldexp(s, -f)
-    if is_hermitian(a, tol) and is_hermitian(b, tol):
-        eig = hermitian_eigen_batch(np.stack([a, b]), tol)
-        (la, lb), (Va, Vb) = eig.eigenvalues, eig.vectors
+    S, g = _unit_scale(np.stack([a, b]))
+    if _hermitian_test(S, tol).all():  # both pass is_hermitian
+        lam, (Va, Vb) = _jacobi(0.5 * (S + _adj(S)), g, _round_robin_sweep)
+        la, lb = lam.real
         disjoint, gap = _spectral_gap(la, lb, fro(a) + fro(b), tol)
         if not disjoint:
             raise SingularSylvesterError(
@@ -172,9 +173,10 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
 class RangeCertificate:
     """Membership of 0 in the numerical range, with a checkable witness.
 
-    When 0 is excluded the witness is an angle theta with
-    lambda_min(Re(e^{i theta} M)) = margin > 0.  When 0 is contained the
-    witness is a unit vector x with |<Mx, x>| = witness_value ~ 0.
+    margin is the largest lambda_min(Re(e^{i theta} M)) found.  When 0 is
+    excluded it is > 0 and the witness is its angle theta.  When 0 is
+    contained it is <= 0 and the witness is a unit vector x with |<Mx, x>|
+    = witness_value ~ 0.
     """
 
     contains_zero: bool
@@ -200,8 +202,9 @@ def _rotated_min(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, tol: Toleranc
     Returns the Rayleigh quotients f of the lowest eigenvectors (upper bounds
     on lambda_min), those eigenvectors (rows) and the eigenvector matrices."""
     H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
-    # The zoom's H is Hermitian up to rounding of ||M||, not of its own norm.
-    V = hermitian_eigen_batch(0.5 * (H + _adj(H)), tol).vectors
+    # Hermitian to rounding of ||M||, not of its own norm: symmetrised, not tested.
+    S, e = _unit_scale(H)
+    V = _jacobi(0.5 * (S + _adj(S)), e, _round_robin_sweep)[1]
     x = V[:, :, 0]
     f = np.einsum("ki,kij,kj->k", x.conj(), H, x).real / np.einsum("ki,ki->k", x.conj(), x).real
     return f, x, V
@@ -369,15 +372,15 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
     band = _band(fro(M), tol.structural)
 
     if _hermitian_test(M, tol):  # M is unit-scaled already
-        eig = hermitian_eigen(M, tol)
-        lo, hi = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
+        lam, V = _jacobi(0.5 * (M + _adj(M)), 0, _cyclic_sweep)
+        lo, hi = float(lam[0].real), float(lam[-1].real)
         margin = max(lo, -hi)  # distance by which the interval avoids 0
         if margin > band:
             theta = 0.0 if lo > 0 else np.pi
             return RangeCertificate(False, margin, witness_angle=theta)
         # 0 lies in [lo, hi], or within the band of the nearer end, whose
         # eigenvector _isotropic then returns (up to rounding).
-        x = _isotropic(M, eig.vectors[:, 0], eig.vectors[:, -1], 0.0)
+        x = _isotropic(M, V[:, 0], V[:, -1], 0.0)
         val = abs(_quadratic_form(M, x))
         return RangeCertificate(
             margin <= 0.0, margin, witness_vector=x, witness_value=val,

@@ -276,11 +276,34 @@ def test_cli_exp_periodicity(tmp_path):
     assert _read_report(rpt)["results"]["within_bound"] is True
 
 
-def test_cli_exp_periodicity_beyond_the_float_range_exits_1(tmp_path, capsys):
-    a_path = _write(tmp_path, "A.mat", np.diag([np.pi / 2]).astype(complex))
-    assert main(["exp-periodicity", a_path, "--k", "1" + "0" * 400]) == 1
+@pytest.mark.parametrize("argv, name", [
+    (["exp-periodicity", "A.mat", "--k"], "k"),
+    (["root", "A.mat", "--n"], "n"),
+    (["root", "A.mat", "--all-branches", "--n"], "n"),
+], ids=["exp-periodicity", "root", "root-all-branches"])
+def test_cli_exp_periodicity_beyond_the_float_range_exits_1(tmp_path, capsys, argv, name):
+    a_path = _write(tmp_path, "A.mat", np.eye(2, dtype=complex))
+    argv = [a_path if a == "A.mat" else a for a in argv] + ["1" + "0" * 400]
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "k of 401 digits" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and f"{name} of 401 digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+     "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+    (MemoryError(), "MemoryError"),  # as Python raises it, without a message
+], ids=["numpy", "bare"])
+def test_cli_out_of_memory_exits_1(capsys, monkeypatch, error, line):
+    # Stands in for the allocation of a huge --n; no large array is made.
+    from normalroots import cli
+
+    def volterra_matrix(n):
+        raise error
+
+    monkeypatch.setattr(cli, "volterra_matrix", volterra_matrix)
+    assert main(["volterra", "--n", "100000"]) == 1
+    assert capsys.readouterr().err == f"normalroots: {line}\n"
 
 
 def test_cli_determinism(tmp_path):

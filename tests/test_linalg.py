@@ -524,27 +524,6 @@ def test_eigvals_input_contract():
     assert np.array_equal(hermitian_eigvals(near), hermitian_eigvals(0.5 * (near + near.T)))
 
 
-def _count_solves(monkeypatch) -> dict:
-    """Counts of vector solves (hermitian_eigen) and values-only solves,
-    patched in every package module that binds them.  A values-only solve is
-    a call of linalg._eigvals, the core that hermitian_eigvals runs after its
-    checks and that the theorem-lab checks call directly."""
-    from normalroots import cli, linalg, roots, theoremlab
-
-    calls = {"hermitian_eigen": 0, "hermitian_eigvals": 0}
-    for name, key in (("hermitian_eigen", "hermitian_eigen"), ("_eigvals", "hermitian_eigvals")):
-        original = getattr(linalg, name)
-
-        def counted(*args, _key=key, _original=original, **kwargs):
-            calls[_key] += 1
-            return _original(*args, **kwargs)
-
-        for module in (linalg, roots, theoremlab, cli):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _values_only_callers(tmp_path):
     from normalroots import cli, roots, theoremlab
 
@@ -575,41 +554,22 @@ def _values_only_callers(tmp_path):
     ("normality_equivalence", 1), ("normality_equivalence im", 2),
     ("normality_equivalence neither", 2), ("cli volterra", 2),
 ])
-def test_values_only_callers_make_no_vector_solves(monkeypatch, tmp_path, caller, values):
+def test_values_only_callers_make_no_vector_solves(solve_log, tmp_path, caller, values):
     run = _values_only_callers(tmp_path)[caller]
-    calls = _count_solves(monkeypatch)
     run()
-    assert calls == {"hermitian_eigen": 0, "hermitian_eigvals": values}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": values}
 
 
-def _solves_and_sweeps(monkeypatch, run) -> tuple[dict, list]:
-    """``_count_solves`` of run(), and the serial Jacobi sweeps (calls of
-    linalg._cyclic_sweep) of each of its vector solves, in call order."""
-    from normalroots import linalg
-
-    calls = _count_solves(monkeypatch)
-    sweeps: list = []
-    original = linalg._cyclic_sweep
-
-    def counted(*args):
-        solve = calls["hermitian_eigen"] - 1
-        sweeps.extend([0] * (solve + 1 - len(sweeps)))
-        sweeps[solve] += 1
-        return original(*args)
-
-    monkeypatch.setattr(linalg, "_cyclic_sweep", counted)
-    run()
-    return calls, sweeps + [0] * (calls["hermitian_eigen"] - len(sweeps))
-
-
-def _abs_sweeps(N) -> int:
+def _abs_sweeps(solve_log, N) -> int:
     """Sweeps of |N|'s solve from V = I: abs_op's, on the same unit-scaled
     N*N as the chain's."""
-    with pytest.MonkeyPatch.context() as mp:
-        return _solves_and_sweeps(mp, lambda: abs_op(N))[1][0]
+    abs_op(N)
+    sweeps = solve_log.sweeps()[0]
+    solve_log.clear()
+    return sweeps
 
 
-def test_sqrt_signdef_eigensolve_count(monkeypatch):
+def test_sqrt_signdef_eigensolve_count(solve_log):
     # |N| and S = (|N| + sD)^{1/2} take vector solves; the sign case takes
     # the values core on Im N, which is exactly Hermitian by construction.
     # S is solved on |N|'s eigenbasis W, where |N| + sD is diagonal up to
@@ -617,22 +577,26 @@ def test_sqrt_signdef_eigensolve_count(monkeypatch):
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
-    calls, sweeps = _solves_and_sweeps(monkeypatch, lambda: roots.sqrt_signdef(N))
-    assert calls == {"hermitian_eigen": 2, "hermitian_eigvals": 1}
-    assert sweeps[0] == _abs_sweeps(N) and sweeps[1] <= 2
+    abs_sweeps = _abs_sweeps(solve_log, N)
+    roots.sqrt_signdef(N)
+    assert solve_log.counts() == {"hermitian": 2, "normal": 0, "stacked": 0, "values": 1}
+    sweeps = solve_log.sweeps()
+    assert sweeps[0] == abs_sweeps and sweeps[1] <= 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_root_pow2n_eigensolve_count(monkeypatch, n):
+def test_root_pow2n_eigensolve_count(solve_log, n):
     # |N| is factorized once for the whole chain; each stage adds one vector
     # solve (its S, on |N|'s eigenbasis: at most 2 sweeps) and one values
     # solve (its sign case).
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
-    calls, sweeps = _solves_and_sweeps(monkeypatch, lambda: roots.root_pow2n(N, n))
-    assert calls == {"hermitian_eigen": n + 1, "hermitian_eigvals": n}
-    assert sweeps[0] == _abs_sweeps(N) and max(sweeps[1:]) <= 2
+    abs_sweeps = _abs_sweeps(solve_log, N)
+    roots.root_pow2n(N, n)
+    assert solve_log.counts() == {"hermitian": n + 1, "normal": 0, "stacked": 0, "values": n}
+    sweeps = solve_log.sweeps()
+    assert sweeps[0] == abs_sweeps and max(sweeps[1:]) <= 2
 
 
 # --- hermitian_eigen_batch --------------------------------------------------

@@ -129,32 +129,27 @@ def test_sylvester_hermitian_forward_error(d):
     assert fro(X - X0) <= 1e-12 * fro(X0)
 
 
-def test_sylvester_hermitian_path_makes_one_stacked_eigensolve(monkeypatch, rng):
-    calls = {"batch": 0, "serial": 0, "solve": 0}
-    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
-                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
-    monkeypatch.setattr(theoremlab, "hermitian_eigen",
-                        _counted(calls, "serial", theoremlab.hermitian_eigen))
+def test_sylvester_hermitian_path_makes_one_stacked_eigensolve(monkeypatch, solve_log, rng):
+    calls = {"solve": 0}
     monkeypatch.setattr(np.linalg, "solve", _counted(calls, "solve", np.linalg.solve))
     a = _with_spectrum(rng, rng.uniform(1.0, 2.0, 6))
     b = _with_spectrum(rng, rng.uniform(-2.0, -1.0, 6))
     S = random_dense(rng, 6)
     X = sylvester_solve(SylvesterProblem(a, b, S))
-    assert calls == {"batch": 1, "serial": 0, "solve": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 1, "values": 0}
+    assert solve_log.solves[0].members == 2 and calls == {"solve": 0}
     assert fro(a @ X - X @ b - S) <= 1e-9 * (1.0 + fro(S))
 
 
-def test_sylvester_nonhermitian_uses_kronecker(monkeypatch, rng):
-    calls = {"batch": 0, "solve": 0}
-    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
-                        _counted(calls, "batch", theoremlab.hermitian_eigen_batch))
+def test_sylvester_nonhermitian_uses_kronecker(monkeypatch, solve_log, rng):
+    calls = {"solve": 0}
     monkeypatch.setattr(np.linalg, "solve", _counted(calls, "solve", np.linalg.solve))
     # Triangular with disjoint diagonals: spectra {1, 2, 3, 4} and {-1, -2, -3, -4}.
     a = np.triu(random_dense(rng, 4), 1) + np.diag([1.0, 2.0, 3.0, 4.0])
     b = np.triu(random_dense(rng, 4), 1) - np.diag([1.0, 2.0, 3.0, 4.0])
     S = random_dense(rng, 4)
     X = sylvester_solve(SylvesterProblem(a, b, S))
-    assert calls == {"batch": 0, "solve": 1}
+    assert solve_log.counts()["stacked"] == 0 and calls == {"solve": 1}
     assert fro(a @ X - X @ b - S) <= 1e-9 * (1.0 + fro(S))
 
 
@@ -166,7 +161,7 @@ def test_sylvester_nearly_hermitian_meets_residual_bound(rng):
     E = random_dense(rng, d)
     E = E - E.conj().T
     a = a + 0.4e-10 * (1.0 + fro(a)) / fro(E) * E
-    assert theoremlab.is_hermitian(a) and fro(a - a.conj().T) > 0.0
+    assert linalg.is_hermitian(a) and fro(a - a.conj().T) > 0.0
     S = random_dense(rng, d)
     X = sylvester_solve(SylvesterProblem(a, b, S))
     residual = fro(a @ X - X @ b - S)
@@ -262,31 +257,16 @@ def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative
     assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
-def _count_solves(monkeypatch) -> dict:
-    """Counts of the three eigensolvers' calls, patched in theoremlab and in
-    linalg so that solves made inside linalg are counted too.  Values-only
-    solves are counted at linalg._eigvals, the core behind hermitian_eigvals
-    that the checks call directly."""
-    calls = {"serial": 0, "values": 0, "batch": 0}
-    for name, key in (("hermitian_eigen", "serial"), ("_eigvals", "values"),
-                      ("hermitian_eigen_batch", "batch")):
-        counted = _counted(calls, key, getattr(linalg, name))
-        monkeypatch.setattr(linalg, name, counted)
-        monkeypatch.setattr(theoremlab, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("skew, solves", [(False, 1), (True, 2)])
-def test_classify_eigensolve_count(monkeypatch, rng, skew, solves):
+def test_classify_eigensolve_count(solve_log, rng, skew, solves):
     # One values-only eigensolve per Cartesian part tested; the
     # invertibility bound reuses the tested part's eigenvalues.
-    calls = _count_solves(monkeypatch)
     H = _with_spectrum(rng, rng.uniform(0.5, 2.0, 5))
     T = 1j * H if skew else H
     v = classify_root_of_selfadjoint(T, T @ T)
     assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
     assert v.violation is None
-    assert calls == {"serial": 0, "values": solves, "batch": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": solves}
 
 
 def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
@@ -305,13 +285,12 @@ def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
     assert violations == 0
 
 
-def test_classify_inconclusive_eigensolve_count(monkeypatch):
+def test_classify_inconclusive_eigensolve_count(solve_log):
     # One values-only eigensolve per Cartesian part; no range test follows
     # the gap tests.
-    calls = _count_solves(monkeypatch)
     v = classify_root_of_selfadjoint(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     assert v.case == "inconclusive"
-    assert calls == {"serial": 0, "values": 2, "batch": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 2}
 
 
 def test_classify_precondition():
@@ -464,26 +443,14 @@ def test_range_seeded_campaign():
             assert abs(rc.margin - ref) <= 1e-9 * norm
 
 
-def test_range_eigensolve_count(monkeypatch, rng):
+def test_range_eigensolve_count(solve_log, rng):
     # One call over the 64 starting angles, which decide this input, and one
     # per zoom step; the witness's fan needs no extra support point.
-    calls = {"batch": 0, "serial": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(theoremlab, "hermitian_eigen_batch",
-                        counted("batch", theoremlab.hermitian_eigen_batch))
-    monkeypatch.setattr(theoremlab, "hermitian_eigen",
-                        counted("serial", theoremlab.hermitian_eigen))
     numerical_range_contains_zero(random_dense(rng, 4))
-    assert calls == {"batch": 7, "serial": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 7, "values": 0}
 
 
-def test_range_search_stops_once_the_support_polygon_holds_zero(monkeypatch):
+def test_range_search_stops_once_the_support_polygon_holds_zero(solve_log):
     # Margin -1e-6 ||M||_2: the Lipschitz bound keeps intervals open near the
     # maximum of lambda_min until the 4096-angle cap (21 and 22 stacked
     # calls), but the sampled support points hold 0 long before.
@@ -492,12 +459,11 @@ def test_range_search_stops_once_the_support_polygon_holds_zero(monkeypatch):
     thetas, lam = _dense_lambda_min(G)
     k = int(np.argmax(lam))
     near = G - (lam[k] + 1e-6 * np.linalg.norm(G, 2)) * np.exp(-1j * thetas[k]) * np.eye(4)
-    calls = _count_solves(monkeypatch)
     for M, count in ((J, 7), (near, 12)):
-        calls["batch"] = 0
+        solve_log.clear()
         rc = numerical_range_contains_zero(M)
         assert rc.contains_zero and not rc.indeterminate
-        assert calls["batch"] == count
+        assert solve_log.counts()["stacked"] == count
 
 
 def _range_campaign_inputs(seed, count):
@@ -594,15 +560,14 @@ def test_range_contains_zero_op_memory():
 
 
 def test_range_margin_reaches_dense_sweep_maximum():
-    # The zoom's margin is not below the best lambda_min over 20 000 angles.
-    thetas = np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)
+    # The margin is not below the best lambda_min over 20 000 angles: the
+    # zoom's maximum where 0 is excluded (odd j), and where 0 is contained
+    # (even j) the largest lambda_min found, which is <= 0.
     for j, M in _range_campaign_inputs(1801, 40):
-        if j % 2 == 0:
-            continue
         rc = numerical_range_contains_zero(M)
-        R = np.exp(1j * thetas)[:, None, None] * M
-        sweep = np.linalg.eigvalsh(0.5 * (R + R.conj().transpose(0, 2, 1)))[:, 0]
-        assert rc.margin >= sweep.max() - 1e-12 * np.linalg.norm(M, 2)
+        _, lam = _dense_lambda_min(M)
+        assert rc.margin >= lam.max() - 1e-12 * np.linalg.norm(M, 2)
+        assert rc.contains_zero == (j % 2 == 0) == (rc.margin <= 0.0)
 
 
 def test_range_contains_zero_witness_is_near_exact():
