@@ -13,10 +13,15 @@ tolerance.  Each public eigensolver tests and scales them in one pass,
 ``as_matrix`` (the stacked engine checks shape and finiteness itself).
 Internal callers that have already scaled and tested their matrix hand it,
 symmetrised, to the cores ``_jacobi`` and ``_eigvals``: one scaling pass
-and at most one Hermitian test per solve.  Solve counts are read there.
+and at most one Hermitian test per solve.  A caller that holds the exactly
+Hermitian Cartesian parts of its own unit-scaled matrix hands each to
+``_eigvals(part, 0)``, whose e = 0 hand-off means no scaling pass and no
+scaling back at all (only a part more than 2^64 below its matrix is
+rescaled, on its own).  Solve counts are read there.
 
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
-  tridiagonalization, then implicit QL on Python floats, in the core
+  tridiagonalization, then implicit QL on Python floats, each 2 x 2 block
+  that splits off finished in closed form (LAPACK's dlae2), in the core
   ``_eigvals``.  Every caller that discards the vectors uses it:
   ``operator_norm`` (and the CLI ``volterra`` command), ``classify``,
   ``roots.sign_case`` and ``theoremlab.spectra_disjoint``; the theorem-lab
@@ -237,7 +242,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise LinalgError(f"{name} must be a nonempty square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():  # a complex entry is finite when both parts are
         raise LinalgError(f"{name} contains non-finite entries")
     return A
 
@@ -543,7 +548,7 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
         raise LinalgError(
             f"H must be a nonempty stack of nonempty square matrices, got shape {A.shape}"
         )
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise LinalgError("H contains non-finite entries")
     lam, V = _jacobi(*_unit_hermitian(A, tol, "H"), _round_robin_sweep)
     return HermitianEigen(eigenvalues=lam.real, vectors=V)
@@ -669,6 +674,9 @@ _SCALAR_REDUCTION_MAX_N = 8
 _QL_MAX_ITER = 30
 _EPS2 = (0.5 * float(np.finfo(float).eps)) ** 2
 _SAFMIN = float(np.finfo(float).tiny)
+# A part handed to ``_eigvals`` whose tridiagonal peaks below this is solved
+# at its own scale; above it, safmin^(1/2) lies 2^-447 below its entries.
+_OWN_SCALE = 2.0 ** -64
 
 
 def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -681,32 +689,36 @@ def hermitian_eigvals(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _eigvals(*_unit_hermitian(as_matrix(H, "H"), tol, "H"))
 
 
-def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
-    """Eigenvalues of H, ascending, for H finite and exactly Hermitian (H[i, j]
-    == conj(H[j, i]) bit for bit): ``hermitian_eigvals`` without its checks.
-    Given e, H is taken as H' / 2^e, normalised already as
-    ``_unit_hermitian`` returns it, and the values of H' come back.
+def _eigvals(H: np.ndarray, e: int) -> np.ndarray:
+    """Eigenvalues of H' = 2^e H, ascending, for H finite, exactly Hermitian
+    (H[i, j] == conj(H[j, i]) bit for bit) and normalised already: the
+    checked, scaled matrix of ``_unit_hermitian`` with its e, or, with e = 0,
+    a Cartesian part of a matrix unit-scaled by its caller.  No scaling pass
+    is made and, for e = 0, none on the way back: 2^k H' gives exactly 2^k
+    times the values of H'.
 
-    H is normalised (``_unit_scale``) unless e is given, reduced to a real
-    symmetric tridiagonal (d, off) by Householder reflections (on Python
-    numbers up to n = _SCALAR_REDUCTION_MAX_N, else ``_tridiagonal``; real
-    arithmetic for real input), solved by implicit QL with Wilkinson shifts
-    on Python floats (Bowdler, Martin, Reinsch & Wilkinson 1968; LAPACK's
-    dsteqr without vectors) and scaled back.  off_m is dropped once off_m^2
-    <= eps^2 |d_m| |d_m+1| + safmin; the safmin term also deflates a
-    zero-diagonal block with a tiny off-diagonal and keeps the shift finite.
-    The error is a small multiple of n * eps * ||H||_2, and 2^k H gives
-    exactly 2^k times the values of H.  Past _QL_MAX_ITER (data-dependent)
-    QL iterations per eigenvalue, ConvergenceError quotes norms in H's units.
+    H is reduced to a real symmetric tridiagonal (d, off) by Householder
+    reflections (on Python numbers up to n = _SCALAR_REDUCTION_MAX_N, else
+    ``_tridiagonal``; real arithmetic for real input).  A nonzero part whose
+    tridiagonal peaks below _OWN_SCALE (2^-64 of a unit-scaled matrix) is
+    reduced again at its own scale (``_unit_scale``), so the safmin term
+    below never meets a part far smaller than its matrix.  Implicit QL with
+    Wilkinson shifts on Python floats (Bowdler, Martin, Reinsch & Wilkinson
+    1968; LAPACK's dsteqr without vectors) solves (d, off): off_m is dropped
+    once off_m^2 <= eps^2 |d_m| |d_m+1| + safmin, which also deflates a
+    zero-diagonal block with a tiny off-diagonal and keeps the shift finite,
+    and a 2 x 2 block that splits off is finished in closed form (``_eig2``).
+    The error is a small multiple of n * eps * ||H||_2.  Past _QL_MAX_ITER
+    (data-dependent) QL iterations per eigenvalue, ConvergenceError quotes
+    norms in the units of H'.
     """
-    A, e = _unit_scale(H) if e is None else (H, e)
-    if not A.imag.any():
-        A = A.real
-    n = A.shape[0]
-    if n <= _SCALAR_REDUCTION_MAX_N:
-        d, off = _tridiagonal_scalar(A.tolist())
-    else:
-        d, off = (x.tolist() for x in _tridiagonal(A))
+    A = H if H.imag.any() else H.real
+    d, off = _reduce(A)
+    if 0.0 < max(max(map(abs, d)), max(off, default=0.0)) < _OWN_SCALE:
+        A, f = _unit_scale(A)
+        d, off = _reduce(A)
+        e += f
+    n = len(d)
     off.append(0.0)
     budget = _QL_MAX_ITER * n
     for top in range(n):
@@ -715,6 +727,10 @@ def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
             while m < n - 1 and off[m] * off[m] > _EPS2 * abs(d[m]) * abs(d[m + 1]) + _SAFMIN:
                 m += 1
             if m == top:
+                break
+            if m == top + 1:
+                d[top], d[m] = _eig2(d[top], off[top], d[m])
+                off[top] = 0.0
                 break
             if budget == 0:
                 raise ConvergenceError(
@@ -743,7 +759,30 @@ def _eigvals(H: np.ndarray, e: int | None = None) -> np.ndarray:
             d[top] -= p
             off[top] = g
             off[m] = 0.0
-    return _ldexp(np.array(sorted(d)), e)
+    lam = np.array(sorted(d))
+    return _ldexp(lam, e) if e else lam
+
+
+def _reduce(A: np.ndarray) -> tuple[list, list]:
+    """``_tridiagonal_scalar`` of A up to n = _SCALAR_REDUCTION_MAX_N, else
+    ``_tridiagonal``: (d, |e|) as lists."""
+    if A.shape[0] <= _SCALAR_REDUCTION_MAX_N:
+        return _tridiagonal_scalar(A.tolist())
+    d, off = _tridiagonal(A)
+    return d.tolist(), off.tolist()
+
+
+def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues of the real symmetric [[a, b], [b, c]] as LAPACK's dlae2
+    takes them: the larger in modulus from the sum a + c, with no
+    cancellation, the other from the determinant ac - b^2 over it."""
+    sm = a + c
+    rt = math.hypot(a - c, 2.0 * b)
+    if sm == 0.0:
+        return 0.5 * rt, -0.5 * rt
+    big = 0.5 * (sm + math.copysign(rt, sm))
+    hi, lo = (a, c) if abs(a) > abs(c) else (c, a)
+    return big, (hi / big) * lo - (b / big) * b
 
 
 def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -784,12 +823,17 @@ def _psd_eigen(P: np.ndarray, tol: Tolerances) -> HermitianEigen:
 
 def psd_root(P, n: int = 2, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique positive semidefinite nth root of a psd matrix (``_psd_eigen``
-    clamps its rounding noise)."""
+    clamps its rounding noise); an n past the float range (about 1.8e308)
+    raises LinalgError, as ``roots.nth_root`` does."""
     P = as_matrix(P, "P")
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("root order n must be a positive integer")
+    try:
+        power = 1.0 / n
+    except OverflowError:  # no float holds n
+        raise LinalgError(f"n of {len(str(n))} digits is too large: not a finite float") from None
     eig = _psd_eigen(P, tol)
-    return _spectral_map(eig.vectors, eig.eigenvalues ** (1.0 / n))
+    return _spectral_map(eig.vectors, eig.eigenvalues ** power)
 
 
 def abs_op(T, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -222,8 +222,9 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
         X, e = _unit_scale(current, step=2)
         require_normal(X, tol, "N")
         parts = cartesian_parts(X)
-        # Im X is finite and exactly Hermitian, so the unchecked core solves it.
-        sign = _sign_case(_eigvals(parts.im), fro(X), e, tol)
+        # Im X is finite, exactly Hermitian and on X's scale, so the unchecked
+        # core solves it as it is.
+        sign = _sign_case(_eigvals(parts.im, 0), fro(X), e, tol)
         if stage == 0:
             case = sign
             absx = _psd_eigen(_adj(X) @ X, tol)

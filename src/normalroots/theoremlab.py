@@ -443,7 +443,11 @@ def classify_root_of_selfadjoint(
     ||S||_F, as ``spectra_disjoint`` would.  The range hypotheses 0 not in
     W(Re T) / W(Im T) are implied: for a Hermitian part H, a margin
     lambda_min > structural ||T||_F gives spec(H) and spec(-H) a gap 2
-    lambda_min that passes the disjointness test.  The residuals are scaled
+    lambda_min that passes the disjointness test.  A part is solved only
+    when 4 ||part||_F exceeds the gap band: the gap min |lam_i + lam_j| is at
+    most 2 ||part||_2, so below that the test cannot pass, and the skew path,
+    or an inconclusive call with a zero part, costs one values solve, not
+    two.  The residuals are scaled
     back exactly; a non-finite residual fails the precondition.
     """
     T = as_matrix(T, "T")
@@ -462,22 +466,27 @@ def classify_root_of_selfadjoint(
         _ldexp(fro(A @ B + B @ A), 2 * e),
     )
 
-    # Each hypothesis: evidence, case, the part whose spectrum is tested, the
-    # part the conclusion forces to vanish, and the violation message.
-    # Tested in this order; the first that holds decides.
+    # Each hypothesis: evidence, case, the part whose spectrum is tested and
+    # its norm, the norm of the part the conclusion forces to vanish, and the
+    # violation message.  Tested in this order; the first that holds decides.
+    norm_a, norm_b = fro(A), fro(B)
     hypotheses = (
-        ("spectra_disjoint_re", "selfadjoint_invertible", A, B,
+        ("spectra_disjoint_re", "selfadjoint_invertible", A, norm_a, norm_b,
          "spectra of Re T and -Re T disjoint but T is not a self-adjoint "
          "invertible root (||Im T|| = {:.3e})"),
-        ("spectra_disjoint_im", "skew_invertible", B, A,
+        ("spectra_disjoint_im", "skew_invertible", B, norm_b, norm_a,
          "spectra of Im T and -Im T disjoint but T is not a skew invertible "
          "root (||Re T|| = {:.3e})"),
     )
-    for evidence, case, tested, vanishing, message in hypotheses:
+    gap_band = _band(2.0 * norm, tol.structural)
+    for evidence, case, tested, tested_norm, residual, message in hypotheses:
+        # The gap min |lam_i + lam_j| is at most 2 ||tested||_2: at or below
+        # half the band it cannot pass, so the part is not solved.
+        if 4.0 * tested_norm <= gap_band:
+            continue
         # spectra_disjoint(tested, -tested) from one eigensolve.
-        lam = _eigvals(tested)
+        lam = _eigvals(tested, 0)
         if _spectral_gap(lam, -lam, 2.0 * norm, tol)[0]:
-            residual = fro(vanishing)
             # Up to a factor i, T is tested + i vanishing, so by Weyl
             # sigma_min(T) >= min |spec(tested)| - ||vanishing||_F; T* T,
             # whose small eigenvalues sink below the eigensolver's floor, is
@@ -539,8 +548,9 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     """Check the nilpotent (T^2 = 0) consequences on one instance.
 
     Every test is taken on S = T / 2^e (``linalg._unit_scale``) against the
-    band of ||S||_F^k (``linalg._band``), and the norms and margins are
-    scaled back exactly (to 0 below the float range).
+    band of ||S||_F^k (``linalg._band``), the parts' values solved at S's
+    scale, and the norms and margins are scaled back exactly (to 0 below the
+    float range).
     """
     T = as_matrix(T, "T")
     S, e = _unit_scale(T)
@@ -548,7 +558,7 @@ def check_zero_square(T, tol: Tolerances = DEFAULT_TOL) -> ZeroSquareReport:
     square = fro(S @ S)
     if square > _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = 0 fails beyond residual tolerance")
-    la, lb = map(_eigvals, _cartesian(S))
+    la, lb = (_eigvals(part, 0) for part in _cartesian(S))
     band = _band(norm, tol.structural)
     ind = INDETERMINATE_FACTOR * band
     hypotheses = {
@@ -670,9 +680,9 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     defect = _ldexp(gap, 2 * e)
     thr_n = _band(norm, tol.structural, 2)
     normal = gap <= thr_n
-    if _definite(_eigvals(A), band):
+    if _definite(_eigvals(A, 0), band):
         applicable, part = "re", A
-    elif _definite(_eigvals(B), band):
+    elif _definite(_eigvals(B, 0), band):
         applicable, part = "im", B
     else:
         return NormalityReport(applicable=None, defect=defect, normal=normal)

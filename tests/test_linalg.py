@@ -51,19 +51,20 @@ def test_cartesian_parts_identity():
        st.sampled_from(["complex", "real", "imaginary"]))
 def test_cartesian_parts_are_exactly_hermitian(seed, n, k, kind):
     # re and im equal their conjugate transposes bit for bit, which is why
-    # the theorem-lab checks hand them to linalg._eigvals without
-    # require_hermitian: the core returns exactly what the checked entry does.
-    from normalroots.linalg import _eigvals
+    # the theorem-lab checks hand the parts of their unit-scaled T to
+    # linalg._eigvals(part, 0) without require_hermitian or a scaling pass of
+    # their own: the core returns exactly what the checked entry does.
+    from normalroots.linalg import _eigvals, _unit_scale
 
     T = random_dense(np.random.default_rng(seed), n, 2.0 ** k)
     if kind == "real":
         T = T.real
     elif kind == "imaginary":
         T = 1j * T.imag
-    p = cartesian_parts(T)
+    p = cartesian_parts(_unit_scale(T)[0])
     for part in (p.re, p.im):
         assert np.array_equal(part, part.conj().T)
-        assert np.array_equal(_eigvals(part), hermitian_eigvals(part))
+        assert np.array_equal(_eigvals(part, 0), hermitian_eigvals(part))
 
 
 def test_cartesian_parts_jordan_block():
@@ -243,23 +244,28 @@ def test_eigen_convergence_error_reports_state(monkeypatch):
 
 
 def _test_spectrum(rng, n, kind):
-    """Ascending test spectrum: spread, repeated, or clustered within 1e-9."""
+    """Ascending test spectrum: spread, repeated, clustered within 1e-9, or
+    graded, moduli geometric over 14 decades with random signs."""
     if kind == "repeated":
         return np.sort(rng.choice(rng.uniform(-3.0, 3.0, int(rng.integers(1, 4))), n))
+    if kind == "graded":
+        return np.sort(rng.choice([-1.0, 1.0], n) * np.logspace(0.0, -14.0, n))
     lam = rng.uniform(-3.0, 3.0, n)
     if kind == "clustered":
         lam = np.repeat(lam[:(n + 3) // 4], 4)[:n] + 1e-9 * rng.standard_normal(n)
     return np.sort(lam)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 12) | st.integers(13, 64),
-       st.sampled_from(["dense", "spread", "repeated", "clustered"]), st.booleans(),
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 8) | st.integers(1, 12) | st.integers(13, 64),
+       st.sampled_from(["dense", "spread", "repeated", "clustered", "graded"]), st.booleans(),
        st.integers(-1000, 1000))
 def test_eigvals_matches_lapack(seed, n, kind, real, k):
     # n <= _SCALAR_REDUCTION_MAX_N reduces on Python numbers, larger n on
     # numpy; both must match LAPACK on real and complex input, spread,
-    # repeated and clustered spectra, at any power-of-two scale 2^k.
+    # repeated, clustered and graded spectra, at any power-of-two scale 2^k.
+    # n = 2-8 is drawn twice as often: there the closed-form 2 x 2 finish
+    # decides a larger share of the values.
     rng = np.random.default_rng(seed)
     if kind == "dense":
         G = rng.standard_normal((n, n)) if real else random_dense(rng, n)
@@ -273,6 +279,68 @@ def test_eigvals_matches_lapack(seed, n, kind, real, k):
     assert lam.shape == (n,) and lam.dtype == np.float64
     assert np.all(np.diff(lam) >= 0.0)
     assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_eigvals_two_by_two_finish_matches_lapack(monkeypatch, n, real):
+    # QL finishes each 2 x 2 block that splits off in closed form (_eig2,
+    # LAPACK's dlae2); on every kind of spectrum, the values it gives stay
+    # within the bound of test_eigvals_matches_lapack.  A spread spectrum
+    # always ends in one; a repeated or graded one may deflate to 1 x 1
+    # blocks first.
+    from normalroots import linalg
+
+    finishes = []
+    eig2 = linalg._eig2
+
+    def counted(*args):
+        finishes.append(args)
+        return eig2(*args)
+
+    monkeypatch.setattr(linalg, "_eig2", counted)
+    rng = np.random.default_rng(100 + n)
+    for kind in ("spread", "repeated", "clustered", "graded"):
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0] if real else random_unitary(rng, n)
+        H = (Q * _test_spectrum(rng, n, kind)) @ Q.conj().T
+        H = 0.5 * (H + H.conj().T)
+        finishes.clear()
+        lam = hermitian_eigvals(H)
+        ref = np.linalg.eigvalsh(H)
+        assert finishes or kind != "spread"
+        assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [-64, -65, -600, -1000])
+def test_eigvals_part_far_below_its_matrix_keeps_its_own_scale(k):
+    # A part handed over at its matrix's scale (e = 0) is solved as it is
+    # while its tridiagonal peaks at 2^-64 or more; below that it is rescaled
+    # on its own, so the safmin floor of QL's deflation test never meets it:
+    # [[0, t], [t, 0]] with t^2 below safmin still gives -t and t.
+    from normalroots.linalg import _eigvals
+
+    J = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    t = np.ldexp(1.0, k)
+    assert np.array_equal(_eigvals(t * J, 0), [-t, t])
+    H = random_hermitian(np.random.default_rng(5), 5)
+    H = H / np.abs(H.view(float)).max()
+    Hk = np.ldexp(H.real, k) + 1j * np.ldexp(H.imag, k)
+    assert np.array_equal(_eigvals(Hk, 0), np.ldexp(_eigvals(H, 0), k))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (2.0, 1.0, 1.0), (1.0, 1.0, 2.0), (-2.0, 1.0, -1.0), (-1.0, -1.0, -2.0),
+    (1.0, 3.0, -1.0), (0.0, 1.0, 0.0), (1.0, 1e-9, 1.0), (1e-14, 1.0, -3e-14),
+    (5.0, 1e-300, -5.0), (3.0, 0.0, 3.0),
+])
+def test_eig2_is_dlae2(a, b, c):
+    # Each branch: a + c of either sign or zero, |a| above or below |c|.
+    from normalroots.linalg import _eig2
+
+    got = np.sort(_eig2(a, b, c))
+    ref = np.linalg.eigvalsh(np.array([[a, b], [b, c]]))
+    assert np.abs(got - ref).max() <= 2.0 * np.finfo(float).eps * np.abs(ref).max()
+    assert got.sum() == pytest.approx(a + c, abs=4e-16 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("side", ["scalar", "numpy"])
@@ -550,7 +618,7 @@ def _values_only_callers(tmp_path):
 
 @pytest.mark.parametrize("caller, values", [
     ("operator_norm", 1), ("classify", 1), ("sign_case", 1), ("spectra_disjoint", 2),
-    ("classify_root_of_selfadjoint", 2), ("check_zero_square", 2),
+    ("classify_root_of_selfadjoint", 1), ("check_zero_square", 2),
     ("normality_equivalence", 1), ("normality_equivalence im", 2),
     ("normality_equivalence neither", 2), ("cli volterra", 2),
 ])
@@ -722,6 +790,14 @@ def test_psd_root_via_eigen_oracle():
 def test_psd_root_rejects_order_zero():
     with pytest.raises(ValueError, match="positive integer"):
         psd_root(np.eye(2), 0)
+
+
+def test_psd_root_order_beyond_the_float_range_raises():
+    # 1/n needs n as a float; 10^400 has none.  The error is nth_root's, so
+    # an int past the float range is a LinalgError, not an OverflowError.
+    with pytest.raises(LinalgError, match="^n of 401 digits is too large: not a finite float$"):
+        psd_root(np.eye(2), 10**400)
+    assert np.array_equal(psd_root(4.0 * np.eye(2), np.int64(2)), 2.0 * np.eye(2))
 
 
 def test_psd_root_rejects_indefinite():

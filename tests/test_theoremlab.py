@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from normalroots import linalg, theoremlab
 from normalroots.linalg import LinalgError, cartesian_parts, fro, hermitian_eigen
-from normalroots.sampling import random_hermitian, random_psd, random_unitary
+from normalroots.sampling import random_hermitian, random_normal, random_psd, random_unitary
 from normalroots.theoremlab import (
     SingularSylvesterError,
     SylvesterProblem,
@@ -257,10 +257,11 @@ def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative
     assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
-@pytest.mark.parametrize("skew, solves", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("skew, solves", [(False, 1), (True, 1)])
 def test_classify_eigensolve_count(solve_log, rng, skew, solves):
     # One values-only eigensolve per Cartesian part tested; the
-    # invertibility bound reuses the tested part's eigenvalues.
+    # invertibility bound reuses the tested part's eigenvalues.  On the skew
+    # path Re T = 0 is not solved: its gap test cannot pass.
     H = _with_spectrum(rng, rng.uniform(0.5, 2.0, 5))
     T = 1j * H if skew else H
     v = classify_root_of_selfadjoint(T, T @ T)
@@ -286,11 +287,57 @@ def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
 
 
 def test_classify_inconclusive_eigensolve_count(solve_log):
-    # One values-only eigensolve per Cartesian part; no range test follows
-    # the gap tests.
+    # One values-only eigensolve for Re T and none for Im T = 0, whose gap
+    # test cannot pass; no range test follows the gap tests.
     v = classify_root_of_selfadjoint(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     assert v.case == "inconclusive"
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 2}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 1}
+
+
+def _verdict_solving_both(T):
+    """(case, evidence, residual) of the classifier with every Cartesian part
+    solved: the first part whose spectrum lies more than the band of
+    2 ||S||_F from its negative's decides, S = T / 2^e."""
+    S, e = linalg._unit_scale(T)
+    A, B = linalg._cartesian(S)
+    band = linalg._band(2.0 * fro(S), linalg.DEFAULT_TOL.structural)
+    for case, evidence, tested, vanishing in (
+        ("selfadjoint_invertible", "spectra_disjoint_re", A, B),
+        ("skew_invertible", "spectra_disjoint_im", B, A),
+    ):
+        lam = linalg._eigvals(tested, 0)
+        if np.abs(np.add.outer(lam, lam)).min() > band:
+            return case, evidence, np.ldexp(fro(vanishing), e)
+    return "inconclusive", "none", None
+
+
+@pytest.mark.parametrize("small, spectrum, case", [
+    ("re", [0.7, 1.1, 1.9], "skew_invertible"),
+    ("im", [-1.0, 1.0, 2.0], "inconclusive"),
+])
+@pytest.mark.parametrize("side, solves", [("inside", 1), ("outside", 2)])
+def test_classify_skip_bound_edge_keeps_the_verdict(solve_log, rng, small, spectrum, case,
+                                                      side, solves):
+    # T = eps I + i H (Re T small) or H + i eps I (Im T small), with eps a
+    # millionth inside or outside the bound 4 ||part||_F <= band(2 ||S||_F)
+    # below which the small part is not solved.  Either way the verdict is
+    # the one with both parts solved.
+    H = _with_spectrum(rng, np.array(spectrum))
+    S, e = linalg._unit_scale(H)
+    band = linalg._band(2.0 * fro(S), linalg.DEFAULT_TOL.structural)
+    n = len(spectrum)
+    eps = np.ldexp(band / (4.0 * np.sqrt(n)), e) * (1.0 + (1e-6 if side == "outside" else -1e-6))
+    T = eps * np.eye(n) + 1j * H if small == "re" else H + 1j * eps * np.eye(n)
+    C = T @ T
+    C = 0.5 * (C + C.conj().T)
+    S, e = linalg._unit_scale(T)
+    part = linalg._cartesian(S)[0 if small == "re" else 1]
+    skipped = 4.0 * fro(part) <= linalg._band(2.0 * fro(S), linalg.DEFAULT_TOL.structural)
+    assert skipped == (side == "inside")
+    v = classify_root_of_selfadjoint(T, C)
+    assert solve_log.counts()["values"] == solves
+    assert (v.case, v.evidence, v.residual) == _verdict_solving_both(T)
+    assert v.case == case and v.violation is None
 
 
 def test_classify_precondition():
@@ -855,6 +902,44 @@ def test_theorem_checks_at_large_scale_read_as_at_unit_scale(rng, k):
         assert zk.hypotheses == z.hypotheses and zk.violation is None
         assert zk.square_norm == times(z.square_norm, 2)
         assert zk.re_margins == times(z.re_margins, 1)
+
+
+def _exactly_scaled(M, k):
+    """2^k M, or None where it does not scale back to M exactly."""
+    up = np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+    back = np.ldexp(up.real, -k) + 1j * np.ldexp(up.imag, -k)
+    return up if np.array_equal(back, M) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(2, 6), st.integers(0, 10**6))
+def test_part_solves_are_exact_under_powers_of_two(k, d, seed):
+    # The Cartesian parts are solved at their matrix's scale, with no scaling
+    # pass of their own: 2^k T gives check_zero_square exactly 2^k times the
+    # margins of T, and normality_equivalence the verdicts of T.
+    rng = np.random.default_rng(seed)
+    J = sample_nilpotent(d, seed=seed)
+    K = _with_spectrum(rng, np.linspace(-1.0, 1.0, d))  # indefinite
+    P = random_psd(rng, d) + np.eye(d)
+    normal_re, _ = random_normal(rng, d, arg_range=(-1.4, 1.4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Jk = _exactly_scaled(J, k)
+        if Jk is not None:
+            z, zk = check_zero_square(J), check_zero_square(Jk)
+            assert zk.hypotheses == z.hypotheses and zk.violation is z.violation is None
+            assert (zk.re_indefinite, zk.im_indefinite) == (z.re_indefinite, z.im_indefinite)
+            assert zk.re_margins == tuple(np.ldexp(z.re_margins, k))
+            assert zk.im_margins == tuple(np.ldexp(z.im_margins, k))
+        for M in (normal_re, P + 1j * K, K + 1j * P, K + 0.5j * K @ P):
+            Mk = _exactly_scaled(M, k)
+            if Mk is None:
+                continue
+            base, scaled = normality_equivalence(M), normality_equivalence(Mk)
+            fields = ("applicable", "normal", "commutes", "agree", "indeterminate",
+                      "selfadjoint_clause_checked")
+            assert [getattr(scaled, f) for f in fields] == [getattr(base, f) for f in fields]
+            assert scaled.violation is base.violation is None
 
 
 # --- Volterra ----------------------------------------------------------------
