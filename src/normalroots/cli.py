@@ -37,6 +37,7 @@ from .matio import MatrixFormatError, parse_matrix, save_matrix
 from .roots import _signdef_chain, nth_root, spectral_sqrt
 from .theoremlab import (
     SylvesterProblem,
+    _classify_own_square,
     _commutators,
     check_zero_square,
     classify_root_of_selfadjoint,
@@ -226,11 +227,10 @@ def _run_sylvester(args, tol, inputs):
 
 def _run_classify(args, tol, inputs):
     T = as_matrix(_load(args.matrix, inputs), "T")
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = _load(args.target, inputs) if args.target else T @ T
-    if not args.target and not np.isfinite(C).all():
-        raise LinalgError("default target T^2 overflows")
-    verdict = classify_root_of_selfadjoint(T, C, tol)
+    if args.target:
+        verdict = classify_root_of_selfadjoint(T, _load(args.target, inputs), tol)
+    else:
+        verdict = _classify_own_square(T, tol)
     return EXIT_VIOLATION if verdict.violation else EXIT_OK, asdict(verdict)
 
 

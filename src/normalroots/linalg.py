@@ -17,16 +17,26 @@ and at most one Hermitian test per solve.  A caller that holds the exactly
 Hermitian Cartesian parts of its own unit-scaled matrix hands each to
 ``_eigvals(part, 0)``, whose e = 0 hand-off means no scaling pass and no
 scaling back at all (only a part more than 2^64 below its matrix is
-rescaled, on its own).  Solve counts are read there.
+rescaled, on its own), or, when its verdict reads only a sign, to
+``_psd_within``.  Solve counts are read there.
 
+- ``_psd_within(P, band)`` answers lambda_min(P) > -band by one Cholesky
+  attempt on P + band I (LAPACK potrf), with no eigenvalue at all.  Every
+  verdict that reads only a sign takes it: the psd and nsd flags of
+  ``classify``, ``roots.sign_case`` (so the sign test of each
+  ``roots.sqrt_signdef`` stage), the definite-part test of
+  ``theoremlab.normality_equivalence``, and the gap and invertibility tests
+  of the root classifier on a definite part.
 - ``hermitian_eigvals`` returns the eigenvalues only: Householder
   tridiagonalization, then implicit QL on Python floats, each 2 x 2 block
   that splits off finished in closed form (LAPACK's dlae2), in the core
-  ``_eigvals``.  Every caller that discards the vectors uses it:
-  ``operator_norm`` (and the CLI ``volterra`` command), ``classify``,
-  ``roots.sign_case`` and ``theoremlab.spectra_disjoint``; the theorem-lab
-  checks and the sign case of ``roots.sqrt_signdef`` call the core on the
-  exactly Hermitian Cartesian parts they form.  The reduction runs on
+  ``_eigvals``.  Every caller that reports a value and discards the
+  vectors uses it: ``operator_norm`` (and the CLI ``volterra`` command)
+  and ``theoremlab.spectra_disjoint``; the margins of
+  ``theoremlab.check_zero_square``, the root classifier's indefinite
+  parts and the eigenvalues ``roots.sign_case`` quotes in its
+  IndefiniteError come from the core on the exactly Hermitian Cartesian
+  parts their callers form.  The reduction runs on
   Python numbers up to n = ``_SCALAR_REDUCTION_MAX_N`` (8; the two break
   even near n = 10) and as a numpy loop above.  QL takes about two O(n)
   iterations per eigenvalue, data-dependent and capped (ConvergenceError),
@@ -374,8 +384,13 @@ def require_normal(M: np.ndarray, tol: Tolerances, name: str = "matrix"):
 
 
 def cartesian_parts(T) -> CartesianPair:
-    """Split T into Hermitian re/im parts: re = (T+T*)/2, im = (T-T*)/(2i)."""
-    return CartesianPair(*_cartesian(as_matrix(T, "T")))
+    """Split T into Hermitian re/im parts: re = (T+T*)/2, im = (T-T*)/(2i).
+
+    Both are taken on T / 2^e (``_unit_scale``), where T + T* cannot
+    overflow, and scaled back exactly: 2^k T gives exactly 2^k times the
+    parts of T, and entries near the float limit give finite parts."""
+    S, e = _unit_scale(as_matrix(T, "T"))
+    return CartesianPair(*(_ldexp(part, e) for part in _cartesian(S)))
 
 
 def _cartesian(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -785,6 +800,46 @@ def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
     return big, (hi / big) * lo - (b / big) * b
 
 
+# Below this exponent of the band, P / 2^f in ``_psd_within`` could overflow.
+_CHOLESKY_MIN_EXP = -1000
+
+
+def _psd_within(P: np.ndarray, band: float, sign: float = 1.0) -> bool:
+    """Whether lambda_min(sign P) > -band, for P finite and exactly
+    Hermitian, such as a Cartesian part of a matrix unit-scaled by its
+    caller (``_unit_scale``), whose entries are at most 2 in modulus.  A
+    negative band asks for lambda_min(sign P) > |band|.  The zero part with
+    band 0 counts as definite.
+
+    One Cholesky attempt (LAPACK potrf) on X = (sign P + band I) / 2^f,
+    band = m 2^f with 1/2 <= |m| < 1, answers it: the factorization exists
+    iff every pivot is positive, iff X is positive definite, up to a
+    backward error of a small multiple of n eps ||P||_2 (Higham 2002,
+    section 10.1).  A nonpositive diagonal entry of X fails it before
+    LAPACK is called, as potrf would, and a NaN pivot (overflow inside
+    potrf) fails it too.  X is 2^-f sign P plus m I, both exact, so 2^k P
+    with 2^k band gives bit for bit the verdict of P.  A band below
+    2^_CHOLESKY_MIN_EXP, where X could overflow (a structural tolerance
+    near 1e-300), takes the least eigenvalue from ``_eigvals`` instead.
+    """
+    m, f = math.frexp(band)
+    if f < _CHOLESKY_MIN_EXP:
+        return bool(_eigvals(sign * P, 0)[0] > -band)
+    if not band and not P.any():
+        return True
+    n = P.shape[0]
+    X = np.multiply(P, math.ldexp(sign, -f), order="C")
+    diagonal = X.ravel()[:: n + 1]
+    diagonal += m
+    if min(diagonal.real.tolist()) <= 0.0:
+        return False
+    try:
+        L = np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        return False
+    return L.item(-1).real > 0.0
+
+
 def _spectral_map(V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V*, made Hermitian when the values are real."""
     M = (V * values) @ _adj(V)
@@ -910,9 +965,9 @@ def classify(M, tol: Tolerances = DEFAULT_TOL) -> MatrixFlags:
     normal = is_normal(S, tol)
     psd = nsd = False
     if herm:
-        lam = _eigvals(0.5 * (S + _adj(S)), 0)
-        psd = -float(lam[0]) <= band
-        nsd = float(lam[-1]) <= band
+        H = 0.5 * (S + _adj(S))
+        psd = _psd_within(H, band)
+        nsd = _psd_within(H, band, -1.0)
     unitary = _is_unitary(M, tol)
     zero = not M.any()
     return MatrixFlags(

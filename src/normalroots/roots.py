@@ -31,17 +31,18 @@ from .linalg import (
     _adj,
     _band,
     _branch_cut,
+    _cartesian,
+    _check_hermitian,
     _eigvals,
     _ldexp,
     _noise_floor,
     _psd_eigen,
+    _psd_within,
     _spectral_map,
     _unit_scale,
     as_matrix,
-    cartesian_parts,
     expi,
     fro,
-    hermitian_eigvals,
     normal_eigen,
     normality_defect,
     polar_normal,
@@ -145,23 +146,29 @@ def sign_case(D, tol: Tolerances = DEFAULT_TOL) -> str:
 
     D = 0 counts as nonneg (both square-root branches coincide there).
     Raises IndefiniteError when eigenvalues of both signs exceed the band of
-    ||D||_F (``linalg._band``), taken on D / 2^e (``linalg._unit_scale``).
+    ||D||_F (``linalg._band``), taken on D / 2^e (``linalg._unit_scale``),
+    and NotHermitianError as ``hermitian_eigvals`` does.  Each sign is one
+    Cholesky attempt (``linalg._psd_within``); only the IndefiniteError
+    takes the eigenvalues it quotes.
     """
-    S, e = _unit_scale(as_matrix(D, "D"))
-    return _sign_case(hermitian_eigvals(S, tol), fro(S), e, tol)
+    S, e = _check_hermitian(as_matrix(D, "D"), tol, "H")
+    return _sign_case(0.5 * (S + _adj(S)), fro(S), e, tol)
 
 
-def _sign_case(lam: np.ndarray, norm: float, e: int, tol: Tolerances) -> str:
-    """``sign_case`` from the eigenvalues lam (ascending) of D = Im X, X =
-    N / 2^e, against the band of ||X||_F (not of D, noise for Hermitian N);
-    the IndefiniteError quotes those of Im N itself, 2^e times lam."""
+def _sign_case(H: np.ndarray, norm: float, e: int, tol: Tolerances) -> str:
+    """``sign_case`` of the exactly Hermitian H = Im X, X = N / 2^e, against
+    the band of ||X||_F (not of H, noise for Hermitian N): 'nonneg' when
+    lambda_min(H) > -band, else 'nonpos' when lambda_max(H) < band, each
+    one ``linalg._psd_within`` attempt.  The IndefiniteError quotes the
+    extreme eigenvalues of Im N itself, 2^e times those of H."""
     band = _band(norm, tol.structural)
+    if _psd_within(H, band):
+        return "nonneg"
+    if _psd_within(H, band, -1.0):
+        return "nonpos"
+    lam = _eigvals(H, 0)
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
-    if lam_min >= -band:
-        return "nonneg"
-    if lam_max <= band:
-        return "nonpos"
     raise IndefiniteError(
         f"imaginary part is indefinite: lambda_min={_ldexp(lam_min, e):.3e}, "
         f"lambda_max={_ldexp(lam_max, e):.3e}"
@@ -221,10 +228,10 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
     for stage in range(int(n)):
         X, e = _unit_scale(current, step=2)
         require_normal(X, tol, "N")
-        parts = cartesian_parts(X)
-        # Im X is finite, exactly Hermitian and on X's scale, so the unchecked
-        # core solves it as it is.
-        sign = _sign_case(_eigvals(parts.im, 0), fro(X), e, tol)
+        # X is unit-scaled, so its parts are Cartesian parts of a unit-scaled
+        # matrix, exactly Hermitian, as ``_sign_case`` takes them.
+        re, im = _cartesian(X)
+        sign = _sign_case(im, fro(X), e, tol)
         if stage == 0:
             case = sign
             absx = _psd_eigen(_adj(X) @ X, tol)
@@ -232,14 +239,14 @@ def _signdef_chain(N, n, tol: Tolerances) -> tuple[str, RootCertificate]:
         else:
             sigma = _ldexp(np.sqrt(sigma), half - e)
         s = 1.0 if sign == "nonneg" else -1.0
-        eig = _psd_eigen(np.diag(sigma) + s * (_adj(W) @ parts.im @ W), tol)
+        eig = _psd_eigen(np.diag(sigma) + s * (_adj(W) @ im @ W), tol)
         U, tau = W @ eig.vectors, eig.eigenvalues
         root_tau = np.sqrt(tau)
         inv = np.divide(1.0, root_tau, out=np.zeros_like(tau), where=tau > _noise_floor(tau))
         # On S's eigenbasis: A + B = S, and A - B = S^+ C made Hermitian
         # (S^+ and C commute).
         plus = np.diag(root_tau)
-        minus = 0.5 * (inv[:, None] + inv) * (_adj(U) @ parts.re @ U)
+        minus = 0.5 * (inv[:, None] + inv) * (_adj(U) @ re @ U)
         root = U @ (0.5 * (plus + minus) + 0.5j * s * (plus - minus)) @ _adj(U)
         half = e // 2
         current = _ldexp(root, half)

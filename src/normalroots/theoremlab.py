@@ -35,6 +35,7 @@ from .linalg import (
     _jacobi,
     _normality,
     _ldexp,
+    _psd_within,
     _round_robin_sweep,
     _unit_scale,
     as_matrix,
@@ -443,12 +444,17 @@ def classify_root_of_selfadjoint(
     ||S||_F, as ``spectra_disjoint`` would.  The range hypotheses 0 not in
     W(Re T) / W(Im T) are implied: for a Hermitian part H, a margin
     lambda_min > structural ||T||_F gives spec(H) and spec(-H) a gap 2
-    lambda_min that passes the disjointness test.  A part is solved only
-    when 4 ||part||_F exceeds the gap band: the gap min |lam_i + lam_j| is at
-    most 2 ||part||_2, so below that the test cannot pass, and the skew path,
-    or an inconclusive call with a zero part, costs one values solve, not
-    two.  The residuals are scaled
-    back exactly; a non-finite residual fails the precondition.
+    lambda_min that passes the disjointness test.
+
+    A part definite beyond half the gap band passes the gap test, whose gap
+    is then 2 min |lambda|, and its invertibility bound min |lambda| >
+    ||vanishing||_F + band is a second shift of the same kind: one Cholesky
+    attempt each (``linalg._psd_within``), no spectrum solved.  Any other
+    part is solved for values (``linalg._eigvals``), since an indefinite
+    part can still pass.  A part is not tested when 4 ||part||_F is at most
+    the gap band: the gap min |lam_i + lam_j| is at most 2 ||part||_2, so
+    the test cannot pass.  The residuals are scaled back exactly; a
+    non-finite residual fails the precondition.
     """
     T = as_matrix(T, "T")
     C = as_matrix(C, "C")
@@ -456,7 +462,25 @@ def classify_root_of_selfadjoint(
         raise LinalgError("T and C must share one square dimension")
     _check_hermitian(C, tol, "C")
     S, e = _unit_scale(T)
-    D = _ldexp(C, -2 * e)
+    return _classify_root(S, _ldexp(C, -2 * e), e, tol)
+
+
+def _classify_own_square(T, tol: Tolerances) -> ClassificationVerdict:
+    """``classify_root_of_selfadjoint(T, T @ T)`` with T^2 formed on S = T /
+    2^e (``linalg._unit_scale``), where it cannot underflow; LinalgError
+    when T^2 itself overflows."""
+    S, e = _unit_scale(as_matrix(T, "T"))
+    D = S @ S
+    if not np.isfinite(_ldexp(D, 2 * e)).all():
+        raise LinalgError("default target T^2 overflows")
+    _check_hermitian(D, tol, "C")
+    return _classify_root(S, D, e, tol)
+
+
+def _classify_root(S: np.ndarray, D: np.ndarray, e: int,
+                   tol: Tolerances) -> ClassificationVerdict:
+    """The classifier on S = T / 2^e, unit-scaled, and D = C / 2^(2e), with C
+    Hermitian already checked; the residuals are reported in T's units."""
     norm = fro(S)
     if not fro(S @ S - D) <= _band(norm, tol.residual, 2):
         raise LinalgError("precondition T^2 = C fails beyond residual tolerance")
@@ -478,29 +502,35 @@ def classify_root_of_selfadjoint(
          "spectra of Im T and -Im T disjoint but T is not a skew invertible "
          "root (||Re T|| = {:.3e})"),
     )
+    band = _band(norm, tol.structural)
     gap_band = _band(2.0 * norm, tol.structural)
     for evidence, case, tested, tested_norm, residual, message in hypotheses:
         # The gap min |lam_i + lam_j| is at most 2 ||tested||_2: at or below
-        # half the band it cannot pass, so the part is not solved.
+        # half the band it cannot pass, so the part is not tested.
         if 4.0 * tested_norm <= gap_band:
             continue
-        # spectra_disjoint(tested, -tested) from one eigensolve.
-        lam = _eigvals(tested, 0)
-        if _spectral_gap(lam, -lam, 2.0 * norm, tol)[0]:
-            # Up to a factor i, T is tested + i vanishing, so by Weyl
-            # sigma_min(T) >= min |spec(tested)| - ||vanishing||_F; T* T,
-            # whose small eigenvalues sink below the eigensolver's floor, is
-            # never formed.
-            sigma_min = float(np.abs(lam).min()) - residual
-            ok = residual <= _band(norm, tol.residual) and sigma_min > _band(norm, tol.structural)
-            residual = _ldexp(residual, e)
-            return ClassificationVerdict(
-                case=case,
-                evidence=evidence,
-                residual=residual,
-                system_residuals=sys_res,
-                violation=None if ok else "THEOREM VIOLATION: " + message.format(residual),
-            )
+        # Up to a factor i, T is tested + i vanishing, so by Weyl
+        # sigma_min(T) >= min |spec(tested)| - ||vanishing||_F; T* T, whose
+        # small eigenvalues sink below the eigensolver's floor, is never
+        # formed.
+        sign = next((s for s in (1.0, -1.0) if _psd_within(tested, -0.5 * gap_band, s)), None)
+        if sign is not None:
+            invertible = _psd_within(tested, -(residual + band), sign)
+        else:
+            # spectra_disjoint(tested, -tested) from one values solve.
+            lam = _eigvals(tested, 0)
+            if not _spectral_gap(lam, -lam, 2.0 * norm, tol)[0]:
+                continue
+            invertible = float(np.abs(lam).min()) - residual > band
+        ok = residual <= _band(norm, tol.residual) and invertible
+        residual = _ldexp(residual, e)
+        return ClassificationVerdict(
+            case=case,
+            evidence=evidence,
+            residual=residual,
+            system_residuals=sys_res,
+            violation=None if ok else "THEOREM VIOLATION: " + message.format(residual),
+        )
     return ClassificationVerdict(
         case="inconclusive",
         evidence="none",
@@ -660,18 +690,16 @@ class NormalityReport:
     violation: str | None = None
 
 
-def _definite(lam: np.ndarray, band: float) -> bool:
-    return float(lam[0]) >= -band or float(lam[-1]) <= band
-
-
 def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     """Evaluate the biconditional between normality of T and commutation of
     the sign-definite Cartesian part with Im T^2.
 
     Every test is taken on M = T / 2^e (``linalg._unit_scale``) against the
     band of ||M||_F^k (``linalg._band``), and the defect and the commutation
-    residual are scaled back exactly.  Im T's spectrum (a second values solve)
-    is taken only when Re T is not sign-definite, Im T^2 only when a part is.
+    residual are scaled back exactly.  A part is sign-definite when
+    lambda_min > -band or lambda_max < band, each one Cholesky attempt
+    (``linalg._psd_within``), so no spectrum is solved; Im T is tested only
+    when Re T is not sign-definite, Im T^2 formed only when a part is.
     """
     M, e = _unit_scale(as_matrix(T, "T"))
     A, B = _cartesian(M)
@@ -680,9 +708,9 @@ def normality_equivalence(T, tol: Tolerances = DEFAULT_TOL) -> NormalityReport:
     defect = _ldexp(gap, 2 * e)
     thr_n = _band(norm, tol.structural, 2)
     normal = gap <= thr_n
-    if _definite(_eigvals(A, 0), band):
+    if _psd_within(A, band) or _psd_within(A, band, -1.0):
         applicable, part = "re", A
-    elif _definite(_eigvals(B, 0), band):
+    elif _psd_within(B, band) or _psd_within(B, band, -1.0):
         applicable, part = "im", B
     else:
         return NormalityReport(applicable=None, defect=defect, normal=normal)

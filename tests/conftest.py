@@ -21,23 +21,26 @@ class Solve:
 
 class SolveLog:
     """The eigensolves of the code under test, read at the engines: every
-    call of linalg._jacobi (``solves``) and of linalg._eigvals (``values``),
-    whichever public function or internal caller made it."""
+    call of linalg._jacobi (``solves``), of linalg._eigvals (``values``) and
+    of the sign test linalg._psd_within (``cholesky``, one Cholesky attempt
+    at most), whichever public function or internal caller made it."""
 
     def __init__(self):
         self.solves: list[Solve] = []
         self.values = 0
+        self.cholesky = 0
 
     def counts(self) -> dict:
         """Serial solves of exactly Hermitian matrices ("hermitian") and of
-        any other, i.e. normal, ones ("normal"), stacked calls ("stacked")
-        and values-only solves ("values")."""
+        any other, i.e. normal, ones ("normal"), stacked calls ("stacked"),
+        values-only solves ("values") and sign tests ("cholesky")."""
         serial = [s.hermitian for s in self.solves if s.engine == "serial"]
         return {
             "hermitian": sum(serial),
             "normal": len(serial) - sum(serial),
             "stacked": len(self.solves) - len(serial),
             "values": self.values,
+            "cholesky": self.cholesky,
         }
 
     def sweeps(self) -> list:
@@ -47,18 +50,20 @@ class SolveLog:
     def clear(self) -> None:
         self.solves.clear()
         self.values = 0
+        self.cholesky = 0
 
 
 @pytest.fixture
 def solve_log(monkeypatch) -> SolveLog:
     """A SolveLog of everything run while the test runs: linalg._jacobi,
-    linalg._cyclic_sweep and linalg._eigvals are wrapped in every package
-    module that binds them."""
+    linalg._cyclic_sweep, linalg._eigvals and linalg._psd_within are wrapped
+    in every package module that binds them."""
     from normalroots import cli, linalg, roots, theoremlab
 
     log = SolveLog()
-    jacobi, cyclic, round_robin, eigvals = (
-        linalg._jacobi, linalg._cyclic_sweep, linalg._round_robin_sweep, linalg._eigvals
+    jacobi, cyclic, round_robin, eigvals, psd_within = (
+        linalg._jacobi, linalg._cyclic_sweep, linalg._round_robin_sweep, linalg._eigvals,
+        linalg._psd_within,
     )
 
     def counted_sweep(*args):
@@ -81,8 +86,12 @@ def solve_log(monkeypatch) -> SolveLog:
         log.values += 1
         return eigvals(*args, **kwargs)
 
+    def counted_psd_within(*args, **kwargs):
+        log.cholesky += 1
+        return psd_within(*args, **kwargs)
+
     for name, wrapper in (("_jacobi", counted_jacobi), ("_cyclic_sweep", counted_sweep),
-                          ("_eigvals", counted_eigvals)):
+                          ("_eigvals", counted_eigvals), ("_psd_within", counted_psd_within)):
         for module in (linalg, roots, theoremlab, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)

@@ -716,3 +716,63 @@ def test_cli_classify_overflowing_square_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "normalroots: precondition T^2 = C fails beyond residual tolerance\n"
+
+
+def _cli_under_warning_errors(*argv):
+    """The CLI in a fresh process with every RuntimeWarning an error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "normalroots.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+def test_cli_decompose_at_the_float_limit(tmp_path):
+    # T + T* of diag(1e308, 1e308) overflows; the parts are taken on T / 2^e
+    # and scaled back exactly, so they and their norms are finite.
+    T = np.diag([1e308, 1e308]).astype(complex)
+    t_path = _write(tmp_path, "T.mat", T)
+    re_path, im_path, rpt = tmp_path / "re.mat", tmp_path / "im.mat", tmp_path / "r.json"
+    proc = _cli_under_warning_errors("decompose", t_path, "--out-re", re_path,
+                                     "--out-im", im_path, "--json", rpt)
+    assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(load_matrix(re_path), T)
+    assert np.array_equal(load_matrix(im_path), np.zeros((2, 2)))
+    results = _read_report(rpt)["results"]
+    assert results["re_norm"] == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert results["im_norm"] == 0.0
+    assert results["flags"]["hermitian"] and results["flags"]["psd"]
+
+
+@pytest.mark.parametrize("phase, case", [(1.0, "selfadjoint_invertible"),
+                                         (1j, "skew_invertible")])
+def test_cli_classify_default_target_at_small_scale(tmp_path, phase, case):
+    # T @ T of diag(1e-160, 2e-160) is subnormal and fails the precondition;
+    # the default target is formed on T / 2^e instead.
+    t_path = _write(tmp_path, "T.mat", phase * np.diag([1e-160, 2e-160]))
+    rpt = tmp_path / "r.json"
+    proc = _cli_under_warning_errors("classify", t_path, "--json", rpt)
+    assert proc.returncode == 0, proc.stderr
+    results = _read_report(rpt)["results"]
+    assert (results["case"], results["violation"]) == (case, None)
+    assert results["residual"] == 0.0 and results["system_residuals"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [-530, -40, 40, 500])
+def test_cli_classify_default_target_residuals_in_the_units_of_T(tmp_path, k):
+    # 2^k T reports 2^k times the residual of T and 2^(2k) times its system
+    # residuals, bit for bit (each rounded once where it underflows).
+    K = np.array([[0.0, 1.0], [1.0, 0.0]])
+    T = np.diag([1.0, 2.0]) + 1e-12j * K
+    reports = []
+    for scale in (0, k):
+        path = _write(tmp_path, f"T{scale}.mat", np.ldexp(T.real, scale) + 1j * np.ldexp(T.imag, scale))
+        rpt = tmp_path / f"r{scale}.json"
+        assert main(["classify", path, "--json", str(rpt)]) == 0
+        reports.append(_read_report(rpt)["results"])
+    base, scaled = reports
+    assert base["case"] == scaled["case"] == "selfadjoint_invertible"
+    assert base["residual"] > 0.0 and base["system_residuals"][1] > 0.0
+    assert scaled["residual"] == float(np.ldexp(base["residual"], k))
+    assert scaled["system_residuals"] == [float(np.ldexp(r, 2 * k)) for r in base["system_residuals"]]

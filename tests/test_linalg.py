@@ -67,6 +67,20 @@ def test_cartesian_parts_are_exactly_hermitian(seed, n, k, kind):
         assert np.array_equal(_eigvals(part, 0), hermitian_eigvals(part))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(-1000, 1023))
+def test_cartesian_parts_scale_exactly(seed, n, k):
+    # The parts are taken on T / 2^e and scaled back: 2^k T has exactly 2^k
+    # times the parts of T, up to the float limit, where T + T* overflows.
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    pair = cartesian_parts(T)
+    with np.errstate(over="raise", invalid="raise"):
+        up = cartesian_parts(np.ldexp(T.real, k) + 1j * np.ldexp(T.imag, k))
+    for got, part in ((up.re, pair.re), (up.im, pair.im)):
+        assert np.array_equal(got, np.ldexp(part.real, k) + 1j * np.ldexp(part.imag, k))
+
+
 def test_cartesian_parts_jordan_block():
     p = cartesian_parts([[0, 1], [0, 0]])
     assert np.allclose(p.re, [[0, 0.5], [0.5, 0]])
@@ -616,16 +630,34 @@ def _values_only_callers(tmp_path):
     }
 
 
-@pytest.mark.parametrize("caller, values", [
+# (values solves, Cholesky sign tests) of each caller.  A verdict that reads
+# only a sign takes one Cholesky attempt per sign tried (classify tries both,
+# the classifier adds its invertibility bound); a reported value takes a
+# values solve.
+_VALUES_ONLY_COUNTS = {
+    "operator_norm": (1, 0), "classify": (0, 2), "sign_case": (0, 1),
+    "spectra_disjoint": (2, 0), "classify_root_of_selfadjoint": (0, 2),
+    "check_zero_square": (2, 0), "normality_equivalence": (0, 1),
+    "normality_equivalence im": (0, 3), "normality_equivalence neither": (0, 4),
+    "cli volterra": (2, 0),
+}
+
+
+@pytest.mark.parametrize("caller, parts", [
     ("operator_norm", 1), ("classify", 1), ("sign_case", 1), ("spectra_disjoint", 2),
     ("classify_root_of_selfadjoint", 1), ("check_zero_square", 2),
     ("normality_equivalence", 1), ("normality_equivalence im", 2),
     ("normality_equivalence neither", 2), ("cli volterra", 2),
 ])
-def test_values_only_callers_make_no_vector_solves(solve_log, tmp_path, caller, values):
+def test_values_only_callers_make_no_vector_solves(solve_log, tmp_path, caller, parts):
+    # parts: the Hermitian matrices whose spectrum or sign the caller reads;
+    # each costs one values solve or Cholesky sign tests, never both.
     run = _values_only_callers(tmp_path)[caller]
     run()
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": values}
+    values, cholesky = _VALUES_ONLY_COUNTS[caller]
+    assert values in (0, parts) and (values == 0) == (cholesky > 0)
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": values,
+                                  "cholesky": cholesky}
 
 
 def _abs_sweeps(solve_log, N) -> int:
@@ -639,7 +671,8 @@ def _abs_sweeps(solve_log, N) -> int:
 
 def test_sqrt_signdef_eigensolve_count(solve_log):
     # |N| and S = (|N| + sD)^{1/2} take vector solves; the sign case takes
-    # the values core on Im N, which is exactly Hermitian by construction.
+    # one Cholesky attempt on Im N, which is exactly Hermitian by
+    # construction, and no values solve.
     # S is solved on |N|'s eigenbasis W, where |N| + sD is diagonal up to
     # rounding: at most 2 sweeps (from V = I this input takes 5).
     from normalroots import roots
@@ -647,7 +680,8 @@ def test_sqrt_signdef_eigensolve_count(solve_log):
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
     abs_sweeps = _abs_sweeps(solve_log, N)
     roots.sqrt_signdef(N)
-    assert solve_log.counts() == {"hermitian": 2, "normal": 0, "stacked": 0, "values": 1}
+    assert solve_log.counts() == {"hermitian": 2, "normal": 0, "stacked": 0, "values": 0,
+                                  "cholesky": 1}
     sweeps = solve_log.sweeps()
     assert sweeps[0] == abs_sweeps and sweeps[1] <= 2
 
@@ -655,14 +689,15 @@ def test_sqrt_signdef_eigensolve_count(solve_log):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_root_pow2n_eigensolve_count(solve_log, n):
     # |N| is factorized once for the whole chain; each stage adds one vector
-    # solve (its S, on |N|'s eigenbasis: at most 2 sweeps) and one values
-    # solve (its sign case).
+    # solve (its S, on |N|'s eigenbasis: at most 2 sweeps) and one Cholesky
+    # attempt (its sign case, nonneg at every stage).
     from normalroots import roots
 
     N, _ = random_normal(np.random.default_rng(8), 5, arg_range=(0.1, 3.0))
     abs_sweeps = _abs_sweeps(solve_log, N)
     roots.root_pow2n(N, n)
-    assert solve_log.counts() == {"hermitian": n + 1, "normal": 0, "stacked": 0, "values": n}
+    assert solve_log.counts() == {"hermitian": n + 1, "normal": 0, "stacked": 0, "values": 0,
+                                  "cholesky": n}
     sweeps = solve_log.sweeps()
     assert sweeps[0] == abs_sweeps and max(sweeps[1:]) <= 2
 
@@ -1048,6 +1083,167 @@ def test_classify_commuting_construction(rng):
     B = (e.vectors * rng.standard_normal(4)) @ e.vectors.conj().T
     A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.conj().T)
     assert classify(A + 1j * B).normal
+
+
+# --- _psd_within: sign tests by a Cholesky attempt -------------------------
+
+
+def _spectrum(rng, kind: str, n: int) -> np.ndarray:
+    """n eigenvalues in [-1, 1] of one kind."""
+    signs = rng.choice([-1.0, 1.0], n)
+    if kind == "graded":  # twelve decades
+        return signs * 10.0 ** -rng.uniform(0.0, 12.0, n)
+    if kind == "clustered":  # within 1e-9 of one value, possibly 0
+        return rng.choice([-1.0, 0.0, 0.5, 1.0]) * 0.999 + 1e-9 * rng.uniform(-1.0, 1.0, n)
+    if kind == "repeated":
+        return rng.choice(rng.uniform(-1.0, 1.0, 2), n)
+    if kind == "rank_deficient":
+        lam = rng.uniform(-1.0, 1.0, n) * rng.choice([-1.0, 1.0]) * signs.clip(0.0, 1.0)
+        lam[rng.integers(n)] = 0.0
+        return lam
+    return rng.uniform(-1.0, 1.0, n)
+
+
+def _hermitian_with(rng, lam: np.ndarray, real: bool) -> np.ndarray:
+    """Q diag(lam) Q*, exactly Hermitian, Q orthogonal or unitary."""
+    n = len(lam)
+    G = rng.standard_normal((n, n)) + (0.0 if real else 1j * rng.standard_normal((n, n)))
+    Q, _ = np.linalg.qr(G)
+    P = (Q * lam) @ Q.conj().T
+    return (0.5 * (P + P.conj().T)).astype(complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["graded", "clustered", "repeated",
+                                            "rank_deficient", "uniform"]),
+       st.booleans(), st.integers(0, 2**32 - 1), st.floats(-17.0, 0.0), st.booleans(),
+       st.sampled_from([1.0, -1.0]), st.integers(-600, 600))
+def test_psd_within_matches_the_least_eigenvalue(n, kind, real, seed, log_offset, above,
+                                                  sign, k):
+    # The verdict is lambda_min(sign P) >= -band wherever lambda_min + band
+    # clears the rounding margin 64 n eps ||P||_2 (Cholesky's backward
+    # error), for bands placed from far off down to 1e-17 ||P|| of the
+    # boundary on either side, negative bands included; and 2^k P with
+    # 2^k band gives bit for bit the verdict of P.
+    from normalroots.linalg import _psd_within
+
+    rng = np.random.default_rng(seed)
+    P = _hermitian_with(rng, _spectrum(rng, kind, n), real)
+    lam = np.linalg.eigvalsh(sign * P)
+    norm2 = float(np.abs(lam).max())
+    band = -lam[0] + (1.0 if above else -1.0) * 10.0 ** log_offset * (norm2 or 1.0)
+    verdict = _psd_within(P, band, sign)
+    assert type(verdict) is bool
+    if abs(lam[0] + band) > 64 * n * np.finfo(float).eps * norm2:
+        assert verdict == (lam[0] >= -band)
+    up = np.ldexp(P.real, k) + 1j * np.ldexp(P.imag, k)
+    assert _psd_within(up, float(np.ldexp(band, k)), sign) == verdict
+
+
+def test_psd_within_edge_cases():
+    from normalroots.linalg import _psd_within
+
+    zero = np.zeros((3, 3), dtype=complex)
+    # The zero part with band 0 counts as definite, of either sign; with a
+    # negative band it does not.
+    assert _psd_within(zero, 0.0) and _psd_within(zero, 0.0, -1.0)
+    assert not _psd_within(zero, -1e-300)
+    # Strict: lambda_min = -band exactly is not inside.
+    assert not _psd_within(np.diag([-0.5, 1.0]).astype(complex), 0.5)
+    assert _psd_within(np.diag([-0.5, 1.0]).astype(complex), 0.5 + 2.0 ** -53)
+    # A zero diagonal fails before LAPACK, an indefinite one inside it.
+    assert not _psd_within(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 1e-10)
+    assert not _psd_within(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex), 1e-10)
+    # A band below 2^-1000 takes the values path, with the same verdicts.
+    for band in (1e-305, -1e-305):
+        assert _psd_within(np.eye(2, dtype=complex), band)
+        assert not _psd_within(-np.eye(2, dtype=complex), band)
+
+
+def _reference_sign(H: np.ndarray, band: float):
+    """(psd, nsd) of the exactly Hermitian H from LAPACK's eigenvalues."""
+    lam = np.linalg.eigvalsh(H)
+    return bool(lam[0] >= -band), bool(lam[-1] <= band)
+
+
+def _sign_test_inputs(count: int):
+    """count (kind, T) pairs, d 1-8: Hermitian parts definite, singular or
+    indefinite, each alone, times i, or with a small or large other part."""
+    rng = np.random.default_rng(29)
+    kinds = ("definite", "singular", "indefinite", "graded", "zero")
+    for i in range(count):
+        d = 1 + i % 8
+        kind = kinds[(i // 8) % len(kinds)]
+        if kind == "zero":
+            H = np.zeros((d, d), dtype=complex)
+        else:
+            if kind == "definite":
+                lam = rng.uniform(1e-3, 1.0, d)
+            elif kind == "singular":
+                lam = rng.uniform(0.0, 1.0, d)
+                lam[rng.integers(d)] = 0.0
+            elif kind == "indefinite":
+                lam = rng.uniform(-1.0, 1.0, d)
+            else:
+                lam = 10.0 ** -rng.uniform(0.0, 12.0, d)
+            H = _hermitian_with(rng, rng.choice([-1.0, 1.0]) * lam, bool(i % 3 == 0))
+        other = _hermitian_with(rng, rng.uniform(-1.0, 1.0, d), False)
+        T = (H, 1j * H, H + 1e-13j * other, H + 1j * other)[(i // 40) % 4]
+        yield kind, T
+
+
+def test_sign_callers_match_a_values_reference():
+    # The four callers whose verdicts read only a sign (classify's psd and
+    # nsd, sign_case, normality_equivalence's definite part, the root
+    # classifier's gap and invertibility tests) give the verdicts of the
+    # least and largest eigenvalues LAPACK finds for the same unit-scaled
+    # parts, on 640 inputs, d 1-8.
+    from normalroots.linalg import _band, _cartesian, _unit_scale
+    from normalroots.roots import sign_case
+    from normalroots.theoremlab import classify_root_of_selfadjoint, normality_equivalence
+
+    checked = 0
+    for kind, T in _sign_test_inputs(640):
+        S, e = _unit_scale(T)
+        norm = fro(S)
+        band = _band(norm, 1e-10)
+        A, B = _cartesian(S)
+        flags = classify(T)
+        if flags.hermitian:
+            assert (flags.psd, flags.nsd) == _reference_sign(0.5 * (S + S.conj().T), band)
+        for part, X in ((A, A), (B, B)):
+            psd, nsd = _reference_sign(part, _band(fro(X), 1e-10))
+            try:
+                got = sign_case(X)
+            except IndefiniteError:
+                got = None
+            assert got == ("nonneg" if psd else "nonpos" if nsd else None)
+        definite = [any(_reference_sign(P, band)) for P in (A, B)]
+        applicable = "re" if definite[0] else "im" if definite[1] else None
+        assert normality_equivalence(T).applicable == applicable
+        C = T @ T
+        C = 0.5 * (C + C.conj().T)
+        try:
+            v = classify_root_of_selfadjoint(T, C)
+        except LinalgError:
+            continue
+        gap_band = _band(2.0 * norm, 1e-10)
+        expected = ("inconclusive", "none", True)
+        for case, evidence, tested, vanishing in (
+            ("selfadjoint_invertible", "spectra_disjoint_re", A, B),
+            ("skew_invertible", "spectra_disjoint_im", B, A),
+        ):
+            if 4.0 * fro(tested) <= gap_band:
+                continue
+            lam = np.linalg.eigvalsh(tested)
+            if np.abs(np.add.outer(lam, lam)).min() > gap_band:
+                residual = fro(vanishing)
+                ok = residual <= _band(norm, 1e-9) and np.abs(lam).min() - residual > band
+                expected = (case, evidence, bool(ok))
+                break
+        assert (v.case, v.evidence, v.violation is None) == expected
+        checked += 1
+    assert checked >= 500
 
 
 def test_tolerances_validation():

@@ -1,7 +1,8 @@
 """The runtime is numpy-only and solves its own eigenproblems: no module of
 the package imports anything but numpy, the standard library and itself, or
 reaches LAPACK's eigensolvers or SVD through numpy.linalg.  np.linalg.norm,
-solve and qr stay allowed.  Tests may use LAPACK as an oracle."""
+solve, qr and cholesky (the sign tests' potrf) stay allowed.  Tests may use
+LAPACK as an oracle."""
 
 import ast
 import sys
@@ -72,4 +73,5 @@ def test_guard_rejects_each_forbidden_form(source):
 def test_guard_allows_norm_solve_and_qr():
     source = "import math\nimport numpy as np\nfrom . import linalg\nfrom .linalg import fro\n"
     source += "np.linalg.norm(M)\nnp.linalg.solve(A, b)\nnp.linalg.qr(A)\nlinalg.hermitian_eigvals(H)\n"
+    source += "np.linalg.cholesky(X)\n"
     assert _violations(source) == []

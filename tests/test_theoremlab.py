@@ -136,7 +136,8 @@ def test_sylvester_hermitian_path_makes_one_stacked_eigensolve(monkeypatch, solv
     b = _with_spectrum(rng, rng.uniform(-2.0, -1.0, 6))
     S = random_dense(rng, 6)
     X = sylvester_solve(SylvesterProblem(a, b, S))
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 1, "values": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 1, "values": 0,
+                                  "cholesky": 0}
     assert solve_log.solves[0].members == 2 and calls == {"solve": 0}
     assert fro(a @ X - X @ b - S) <= 1e-9 * (1.0 + fro(S))
 
@@ -257,17 +258,18 @@ def test_classify_definite_part_fires_gap_evidence(seed, n, log_excess, negative
     assert v.evidence == ("spectra_disjoint_im" if skew else "spectra_disjoint_re")
 
 
-@pytest.mark.parametrize("skew, solves", [(False, 1), (True, 1)])
-def test_classify_eigensolve_count(solve_log, rng, skew, solves):
-    # One values-only eigensolve per Cartesian part tested; the
-    # invertibility bound reuses the tested part's eigenvalues.  On the skew
-    # path Re T = 0 is not solved: its gap test cannot pass.
+@pytest.mark.parametrize("skew, parts", [(False, 1), (True, 1)])
+def test_classify_eigensolve_count(solve_log, rng, skew, parts):
+    # One Cartesian part is tested.  It is definite, so its gap test and its
+    # invertibility bound are one Cholesky attempt each and no values solve.
+    # On the skew path Re T = 0 is not tested: its gap test cannot pass.
     H = _with_spectrum(rng, rng.uniform(0.5, 2.0, 5))
     T = 1j * H if skew else H
     v = classify_root_of_selfadjoint(T, T @ T)
     assert v.case == ("skew_invertible" if skew else "selfadjoint_invertible")
     assert v.violation is None
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": solves}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 0,
+                                  "cholesky": 2 * parts}
 
 
 def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
@@ -287,11 +289,13 @@ def test_classify_definite_root_with_small_eigenvalue_is_no_violation():
 
 
 def test_classify_inconclusive_eigensolve_count(solve_log):
-    # One values-only eigensolve for Re T and none for Im T = 0, whose gap
-    # test cannot pass; no range test follows the gap tests.
+    # Re T is indefinite: its two Cholesky attempts fail (on its zero
+    # diagonal, before LAPACK) and it takes one values solve.  Im T = 0,
+    # whose gap test cannot pass, is not tested; no range test follows.
     v = classify_root_of_selfadjoint(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     assert v.case == "inconclusive"
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 1}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 1,
+                                  "cholesky": 2}
 
 
 def _verdict_solving_both(T):
@@ -315,13 +319,15 @@ def _verdict_solving_both(T):
     ("re", [0.7, 1.1, 1.9], "skew_invertible"),
     ("im", [-1.0, 1.0, 2.0], "inconclusive"),
 ])
-@pytest.mark.parametrize("side, solves", [("inside", 1), ("outside", 2)])
+@pytest.mark.parametrize("side, parts", [("inside", 1), ("outside", 2)])
 def test_classify_skip_bound_edge_keeps_the_verdict(solve_log, rng, small, spectrum, case,
-                                                      side, solves):
+                                                      side, parts):
     # T = eps I + i H (Re T small) or H + i eps I (Im T small), with eps a
     # millionth inside or outside the bound 4 ||part||_F <= band(2 ||S||_F)
-    # below which the small part is not solved.  Either way the verdict is
-    # the one with both parts solved.
+    # below which the small part is not tested.  Either way the verdict is
+    # the one with both parts solved.  Each tested part takes two Cholesky
+    # attempts: the definite H passes the first and its invertibility bound,
+    # eps I and the indefinite H fail both and take a values solve.
     H = _with_spectrum(rng, np.array(spectrum))
     S, e = linalg._unit_scale(H)
     band = linalg._band(2.0 * fro(S), linalg.DEFAULT_TOL.structural)
@@ -335,7 +341,9 @@ def test_classify_skip_bound_edge_keeps_the_verdict(solve_log, rng, small, spect
     skipped = 4.0 * fro(part) <= linalg._band(2.0 * fro(S), linalg.DEFAULT_TOL.structural)
     assert skipped == (side == "inside")
     v = classify_root_of_selfadjoint(T, C)
-    assert solve_log.counts()["values"] == solves
+    counts = solve_log.counts()
+    assert counts["cholesky"] == 2 * parts
+    assert counts["values"] == parts - (case == "skew_invertible")
     assert (v.case, v.evidence, v.residual) == _verdict_solving_both(T)
     assert v.case == case and v.violation is None
 
@@ -494,7 +502,8 @@ def test_range_eigensolve_count(solve_log, rng):
     # One call over the 64 starting angles, which decide this input, and one
     # per zoom step; the witness's fan needs no extra support point.
     numerical_range_contains_zero(random_dense(rng, 4))
-    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 7, "values": 0}
+    assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 7, "values": 0,
+                                  "cholesky": 0}
 
 
 def test_range_search_stops_once_the_support_polygon_holds_zero(solve_log):
