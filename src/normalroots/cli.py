@@ -39,6 +39,7 @@ from .theoremlab import (
     SylvesterProblem,
     _classify_own_square,
     _commutators,
+    _scaled_problem,
     check_zero_square,
     classify_root_of_selfadjoint,
     exp_periodicity_residual,
@@ -189,9 +190,9 @@ def _run_decompose(args, tol, inputs):
     }
 
 
-def _run_sqrt(args, tol, inputs, spectral: bool):
+def _run_sqrt(args, tol, inputs):
     N = _load(args.matrix, inputs)
-    if spectral:
+    if args.command == "spectral-sqrt":
         cert = spectral_sqrt(N, tol)
         results = _certificate_dict(cert)
     else:
@@ -219,8 +220,11 @@ def _run_sylvester(args, tol, inputs):
     X = sylvester_solve(SylvesterProblem(a=a, b=b, s=s), tol)
     if args.out:
         save_matrix(args.out, X)
+    # Taken on the scaled problem and scaled back: a X - X b - s can overflow.
+    a, b, s, e, f = _scaled_problem(a, b, s)
+    Y = _ldexp(X, e - f)
     return EXIT_OK, {
-        "residual": fro(a @ X - X @ b - s),
+        "residual": _ldexp(fro(a @ Y - Y @ b - s), f),
         "solution_norm": fro(X),
     }
 
@@ -319,8 +323,8 @@ def _run_exp_periodicity(args, tol, inputs):
 
 _HANDLERS = {
     "decompose": _run_decompose,
-    "sqrt": lambda a, t, i: _run_sqrt(a, t, i, spectral=False),
-    "spectral-sqrt": lambda a, t, i: _run_sqrt(a, t, i, spectral=True),
+    "sqrt": _run_sqrt,
+    "spectral-sqrt": _run_sqrt,
     "root": _run_root,
     "sylvester": _run_sylvester,
     "classify": _run_classify,

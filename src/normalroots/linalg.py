@@ -66,7 +66,8 @@ The two Jacobi engines differ in the order of their rotations, in the
 level below which they leave a pair alone, and in the serial engine's
 second stop rule (each sweep's docstring); on Hermitian input both rotate
 by |theta| <= pi/4.  Everything else is one contract, ``_jacobi``, for a
-matrix and for each member of a stack alike.  Each member is normalised on
+matrix and for each member of a stack alike, and the rank of A picks the
+engine.  Each member is normalised on
 its own, A = H / 2^e, starts from V = I and stops once its off-diagonal
 norm is at most threshold = ``_JACOBI_TOL`` * ||A||_F, a relative rule with
 no absolute floor (Demmel & Veselic 1992).  After ``_MAX_SWEEPS`` sweeps a
@@ -347,16 +348,9 @@ def _is_unitary(M: np.ndarray, tol: Tolerances) -> bool:
         return bool(fro(_adj(M) @ M - np.eye(n)) <= tol.structural * n)
 
 
-def require_hermitian(M: np.ndarray, tol: Tolerances, name: str = "matrix") -> np.ndarray:
-    """0.5 (M + M*), for a matrix or for each member of a stack (B, n, n),
-    once each passes ``is_hermitian``; else NotHermitianError names the
-    first member that fails, as name[b], with its defect ||M - M*||_F."""
-    _check_hermitian(M, tol, name)
-    return 0.5 * (M + _adj(M))
-
-
 def _check_hermitian(M: np.ndarray, tol: Tolerances, name: str):
-    """(S, e), S = M / 2^e (``_unit_scale``), once S passes ``is_hermitian``."""
+    """(S, e), S = M / 2^e (``_unit_scale``), once S (each member of a stack)
+    passes ``is_hermitian``; else NotHermitianError names the first to fail, name[b]."""
     S, e = _unit_scale(M)
     bad = np.flatnonzero(np.logical_not(_hermitian_test(S, tol)))
     if bad.size:
@@ -418,11 +412,11 @@ _MAX_SWEEPS = 64
 _EPS = float(np.finfo(float).eps)
 
 
-def _jacobi(A: np.ndarray, e, sweep) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(A: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
     """The Jacobi contract of the module docstring on a checked, scaled
     matrix or stack A = M / 2^e, rotated in place: (values, vectors), the
-    values complex.  sweep(A, V, norm, active) rotates the members listed in
-    active once over every pair, norm = ||A||_F; a true return ends it."""
+    values complex.  A matrix takes ``_cyclic_sweep``, whose true return
+    ends the loop, and a stack ``_round_robin_sweep``."""
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     V = np.empty(A.shape, dtype=complex)
@@ -432,7 +426,11 @@ def _jacobi(A: np.ndarray, e, sweep) -> tuple[np.ndarray, np.ndarray]:
     threshold = _JACOBI_TOL * norm
     for _ in range(_MAX_SWEEPS):
         active = np.flatnonzero(fro(A * offdiag) > threshold)
-        if active.size == 0 or sweep(A, V, norm, active):
+        if active.size == 0:
+            break
+        if A.ndim > 2:
+            _round_robin_sweep(A, V, norm, active)
+        elif _cyclic_sweep(A, V, norm):
             break
     else:
         off = fro(A * offdiag)
@@ -456,11 +454,11 @@ def hermitian_eigen(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
     """Full eigendecomposition of a complex Hermitian matrix by the serial
     engine (``_cyclic_sweep``), under the Jacobi contract of the module
     docstring."""
-    lam, V = _jacobi(*_unit_hermitian(as_matrix(H, "H"), tol, "H"), _cyclic_sweep)
+    lam, V = _jacobi(*_unit_hermitian(as_matrix(H, "H"), tol, "H"))
     return HermitianEigen(eigenvalues=lam.real, vectors=V)
 
 
-def _cyclic_sweep(A: np.ndarray, V: np.ndarray, norm: float, active) -> bool:
+def _cyclic_sweep(A: np.ndarray, V: np.ndarray, norm: float) -> bool:
     """One cyclic sweep of the serial engine on the single matrix A, pairs
     p < q row by row; true when no rotation had |s| > 4 eps, which ends the
     loop: a converged normal matrix's off-diagonal rests at rounding noise,
@@ -565,7 +563,7 @@ def hermitian_eigen_batch(H, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen:
         )
     if not np.isfinite(A).all():
         raise LinalgError("H contains non-finite entries")
-    lam, V = _jacobi(*_unit_hermitian(A, tol, "H"), _round_robin_sweep)
+    lam, V = _jacobi(*_unit_hermitian(A, tol, "H"))
     return HermitianEigen(eigenvalues=lam.real, vectors=V)
 
 
@@ -869,7 +867,7 @@ def _psd_eigen(P: np.ndarray, tol: Tolerances) -> HermitianEigen:
     ``psd_root`` (so ``abs_op``) and ``roots.sqrt_signdef`` call it.
     """
     S, e = _check_hermitian(P, tol, "H")
-    lam, V = _jacobi(0.5 * (S + _adj(S)), 0, _cyclic_sweep)
+    lam, V = _jacobi(0.5 * (S + _adj(S)), 0)
     lam_min = float(lam[0].real)
     if -lam_min > _band(fro(S), tol.structural):
         raise IndefiniteError(f"matrix is not psd: lambda_min = {_ldexp(lam_min, e):.3e}")
@@ -905,13 +903,16 @@ def normal_eigen(N, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     part, then by imaginary part; real parts equal in exact arithmetic but
     not after rounding order mu by their computed values.
     """
-    return _jacobi(*require_normal(as_matrix(N, "N"), tol, "N"), _cyclic_sweep)
+    return _jacobi(*require_normal(as_matrix(N, "N"), tol, "N"))
 
 
 def expi(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unitary exponential e^{iA} of a Hermitian matrix."""
+    """Unitary exponential e^{iA} of a Hermitian matrix; LinalgError when an
+    eigenvalue of A lies past the float range."""
     A = as_matrix(A, "A")
     eig = hermitian_eigen(A, tol)
+    if not np.isfinite(eig.eigenvalues).all():
+        raise LinalgError("A has an eigenvalue past the float range: e^{iA} is not computable")
     return _spectral_map(eig.vectors, np.exp(1j * eig.eigenvalues))
 
 

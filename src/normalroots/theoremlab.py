@@ -28,7 +28,6 @@ from .linalg import (
     _band,
     _cartesian,
     _check_hermitian,
-    _cyclic_sweep,
     _eigvals,
     _hermitian_test,
     _im_part,
@@ -36,7 +35,6 @@ from .linalg import (
     _normality,
     _ldexp,
     _psd_within,
-    _round_robin_sweep,
     _unit_scale,
     as_matrix,
     expi,
@@ -119,7 +117,8 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     backward error ||R||_F / ((||a||_F + ||b||_F) ||X||_F + ||s||_F) above
     residual (Higham 2002, ch. 16), or ||s||_F / ||X||_F, a bound on sep(a,
     b), within the gap band.  All of it runs on a / 2^e, b / 2^e and s / 2^f
-    (``linalg._unit_scale``); X is 2^(f - e) times their solution.
+    (``_scaled_problem``); X is 2^(f - e) times their solution, and a
+    solution past the float range raises LinalgError.
     """
     a = as_matrix(problem.a, "a")
     b = as_matrix(problem.b, "b")
@@ -127,11 +126,10 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     n = a.shape[0]
     if b.shape != a.shape or s.shape != a.shape:
         raise LinalgError("a, b, s must share one square dimension")
-    e, f = max(_unit_scale(a)[1], _unit_scale(b)[1]), _unit_scale(s)[1]
-    a, b, s = _ldexp(a, -e), _ldexp(b, -e), _ldexp(s, -f)
+    a, b, s, e, f = _scaled_problem(a, b, s)
     S, g = _unit_scale(np.stack([a, b]))
     if _hermitian_test(S, tol).all():  # both pass is_hermitian
-        lam, (Va, Vb) = _jacobi(0.5 * (S + _adj(S)), g, _round_robin_sweep)
+        lam, (Va, Vb) = _jacobi(0.5 * (S + _adj(S)), g)
         la, lb = lam.real
         disjoint, gap = _spectral_gap(la, lb, fro(a) + fro(b), tol)
         if not disjoint:
@@ -162,7 +160,18 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
         raise SingularSylvesterError(
             f"Sylvester system numerically singular: residual {_ldexp(residual, f):.3e}"
         )
-    return _ldexp(X, f - e)
+    X = _ldexp(X, f - e)
+    if not np.isfinite(X).all():
+        raise LinalgError("the Sylvester solution X overflows the float range")
+    return X
+
+
+def _scaled_problem(a: np.ndarray, b: np.ndarray, s: np.ndarray):
+    """(a / 2^e, b / 2^e, s / 2^f, e, f), 2^e the larger ``linalg._unit_scale``
+    factor of a and b and 2^f that of s: the problem ``sylvester_solve``
+    solves, on which a X - X b - s cannot overflow."""
+    e, f = max(_unit_scale(a)[1], _unit_scale(b)[1]), _unit_scale(s)[1]
+    return _ldexp(a, -e), _ldexp(b, -e), _ldexp(s, -f), e, f
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +207,20 @@ _ZOOM_STEPS = 6
 _FAN_STEPS = 8
 
 
-def _rotated_min(A: np.ndarray, B: np.ndarray, thetas: np.ndarray, tol: Tolerances):
+def _rotated_min(A: np.ndarray, B: np.ndarray, thetas: np.ndarray):
     """One stacked eigensolve of Re(e^{i theta} M) = cos(theta) A - sin(theta) B.
     Returns the Rayleigh quotients f of the lowest eigenvectors (upper bounds
     on lambda_min), those eigenvectors (rows) and the eigenvector matrices."""
     H = np.cos(thetas)[:, None, None] * A - np.sin(thetas)[:, None, None] * B
     # Hermitian to rounding of ||M||, not of its own norm: symmetrised, not tested.
     S, e = _unit_scale(H)
-    V = _jacobi(0.5 * (S + _adj(S)), e, _round_robin_sweep)[1]
+    V = _jacobi(0.5 * (S + _adj(S)), e)[1]
     x = V[:, :, 0]
     f = np.einsum("ki,kij,kj->k", x.conj(), H, x).real / np.einsum("ki,ki->k", x.conj(), x).real
     return f, x, V
 
 
-def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
+def _best_angle(A: np.ndarray, B: np.ndarray, band: float):
     """Certified search for an angle with lambda_min(Re(e^{i theta} M)) > band,
     then a zoom on the best one.  Returns the samples in angle order (angles,
     lowest eigenvectors), whether the search decided, the best angle and margin.
@@ -230,7 +239,7 @@ def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
     M = A + 1j * B
     L = fro(M)
     thetas = np.linspace(0.0, 2.0 * np.pi, _SEARCH_ANGLES, endpoint=False)
-    f, X, V = _rotated_min(A, B, thetas, tol)
+    f, X, V = _rotated_min(A, B, thetas)
     V = V[int(np.argmax(f))]
     for rounds in range(_SEARCH_ROUNDS + 1):
         width = np.diff(thetas, append=2.0 * np.pi)
@@ -239,7 +248,7 @@ def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
         if decided or rounds == _SEARCH_ROUNDS or len(thetas) + open_.size > _SEARCH_MAX_ANGLES:
             break
         mids = thetas[open_] + 0.5 * width[open_]
-        fm, Xm, Vm = _rotated_min(A, B, mids, tol)
+        fm, Xm, Vm = _rotated_min(A, B, mids)
         if fm.max() > f.max():
             V = Vm[int(np.argmax(fm))]
         thetas, f = np.insert(thetas, open_ + 1, mids), np.insert(f, open_ + 1, fm)
@@ -251,7 +260,7 @@ def _best_angle(A: np.ndarray, B: np.ndarray, band: float, tol: Tolerances):
     best_theta, best_margin = float(thetas[j]), float(f[j])
     for _ in range(_ZOOM_STEPS):
         grid = np.linspace(lo, hi, _ZOOM_ANGLES)
-        g, _, W = _rotated_min(V.conj().T @ A @ V, V.conj().T @ B @ V, grid, tol)
+        g, _, W = _rotated_min(V.conj().T @ A @ V, V.conj().T @ B @ V, grid)
         i = int(np.argmax(g))
         if g[i] > best_margin:
             best_theta, best_margin = float(grid[i]), float(g[i])
@@ -307,7 +316,7 @@ def _closest_edge(w: np.ndarray) -> tuple[int, complex]:
     return j, complex(w[j] + t[j] * d[j])
 
 
-def _support_zero_witness(M, A, B, thetas, X, tol: Tolerances) -> np.ndarray:
+def _support_zero_witness(M, A, B, thetas, X) -> np.ndarray:
     """Unit x with <Mx, x> ~ 0 from the support points w_j = <M x_j, x_j>,
     which lie on the boundary of W(M) in angle order.
 
@@ -338,7 +347,7 @@ def _support_zero_witness(M, A, B, thetas, X, tol: Tolerances) -> np.ndarray:
             break
         # The support point farthest along -p, at theta = -arg(p).
         theta = -np.angle(p) % (2.0 * np.pi)
-        _, x, _ = _rotated_min(A, B, np.array([theta]), tol)
+        _, x, _ = _rotated_min(A, B, np.array([theta]))
         k = int(np.searchsorted(thetas, theta))
         thetas, X = np.insert(thetas, k, theta), np.insert(X, k, x[0], axis=0)
         w = np.insert(w, k, _quadratic_form(M, x[0]))
@@ -373,7 +382,7 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
     band = _band(fro(M), tol.structural)
 
     if _hermitian_test(M, tol):  # M is unit-scaled already
-        lam, V = _jacobi(0.5 * (M + _adj(M)), 0, _cyclic_sweep)
+        lam, V = _jacobi(0.5 * (M + _adj(M)), 0)
         lo, hi = float(lam[0].real), float(lam[-1].real)
         margin = max(lo, -hi)  # distance by which the interval avoids 0
         if margin > band:
@@ -398,11 +407,11 @@ def _range_test(M: np.ndarray, tol: Tolerances) -> RangeCertificate:
         )
 
     A, B = _cartesian(M)
-    thetas, X, decided, best_theta, best_margin = _best_angle(A, B, band, tol)
+    thetas, X, decided, best_theta, best_margin = _best_angle(A, B, band)
     if best_margin > band:
         return RangeCertificate(False, best_margin, witness_angle=best_theta % (2 * np.pi))
 
-    x = _support_zero_witness(M, A, B, thetas, X, tol)
+    x = _support_zero_witness(M, A, B, thetas, X)
     val = abs(_quadratic_form(M, x))
     return RangeCertificate(
         best_margin <= 0.0, best_margin, witness_vector=x, witness_value=val,

@@ -13,7 +13,7 @@ def rng():
 class Solve:
     """One call of linalg._jacobi."""
 
-    engine: str  # "serial" (sweep _cyclic_sweep) or "stacked" (_round_robin_sweep)
+    engine: str  # "serial" (a matrix, _cyclic_sweep) or "stacked" (a stack)
     members: int  # matrices in the call: 1 for the serial engine
     hermitian: bool  # every member handed in exactly Hermitian, bit for bit
     sweeps: int = 0  # calls of _cyclic_sweep (serial solves only)
@@ -61,26 +61,21 @@ def solve_log(monkeypatch) -> SolveLog:
     from normalroots import cli, linalg, roots, theoremlab
 
     log = SolveLog()
-    jacobi, cyclic, round_robin, eigvals, psd_within = (
-        linalg._jacobi, linalg._cyclic_sweep, linalg._round_robin_sweep, linalg._eigvals,
-        linalg._psd_within,
+    jacobi, cyclic, eigvals, psd_within = (
+        linalg._jacobi, linalg._cyclic_sweep, linalg._eigvals, linalg._psd_within,
     )
 
     def counted_sweep(*args):
         log.solves[-1].sweeps += 1
         return cyclic(*args)
 
-    def counted_jacobi(A, e, sweep):
-        if sweep is counted_sweep:
-            engine = "serial"
-        elif sweep is round_robin:
-            engine = "stacked"
-        else:
-            raise AssertionError(f"_jacobi called with an unwrapped sweep {sweep!r}")
-        # Read before the call: _jacobi rotates A in place.
+    def counted_jacobi(A, e):
+        # _jacobi takes the serial engine for a matrix, the stacked one for a
+        # stack.  Read before the call: _jacobi rotates A in place.
+        engine, members = ("serial", 1) if A.ndim == 2 else ("stacked", len(A))
         hermitian = bool(np.array_equal(A, A.conj().swapaxes(-1, -2)))
-        log.solves.append(Solve(engine, len(A) if A.ndim == 3 else 1, hermitian))
-        return jacobi(A, e, sweep)
+        log.solves.append(Solve(engine, members, hermitian))
+        return jacobi(A, e)
 
     def counted_eigvals(*args, **kwargs):
         log.values += 1

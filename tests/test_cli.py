@@ -176,6 +176,25 @@ def test_cli_sylvester_singular_exits_1(tmp_path):
     assert main(["sylvester", "--a", a, "--b", a, "--s", s]) == 1
 
 
+@pytest.mark.parametrize("k", [-1000, 1020])
+def test_cli_sylvester_residual_scales_exactly(tmp_path, k):
+    # The residual is taken on the problem sylvester_solve scales, so 2^k a,
+    # 2^k b, 2^k s report 2^k times the residual of a, b, s, rounded once.
+    a, b, s = np.diag([1.5, 1.7]), np.diag([1.0, 1.2]), np.array([[1.0, 0.3], [0.7, 1.0]])
+    reports = []
+    for scale in (0, k):
+        paths = [_write(tmp_path, f"{name}{scale}.mat", np.ldexp(M, scale))
+                 for name, M in zip("abs", (a, b, s))]
+        rpt = tmp_path / f"r{scale}.json"
+        assert main(["sylvester", "--a", paths[0], "--b", paths[1], "--s", paths[2],
+                     "--json", str(rpt)]) == 0
+        reports.append(_read_report(rpt)["results"])
+    base, scaled = reports
+    assert base["residual"] > 0.0
+    assert scaled["residual"] == float(np.ldexp(base["residual"], k))
+    assert scaled["solution_norm"] == base["solution_norm"]
+
+
 def test_cli_precondition_failure_exits_1(tmp_path):
     # sqrt of a non-normal matrix
     n_path = _write(tmp_path, "J.mat", np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -776,3 +795,36 @@ def test_cli_classify_default_target_residuals_in_the_units_of_T(tmp_path, k):
     assert base["residual"] > 0.0 and base["system_residuals"][1] > 0.0
     assert scaled["residual"] == float(np.ldexp(base["residual"], k))
     assert scaled["system_residuals"] == [float(np.ldexp(r, 2 * k)) for r in base["system_residuals"]]
+
+
+def test_cli_sylvester_at_the_float_limit(tmp_path):
+    # a X - X b - s overflows to inf - inf here; the residual is taken on the
+    # scaled problem, so it is finite and the solution X = 2I exact.
+    paths = [_write(tmp_path, f"{name}.mat", np.diag(d).astype(complex)) for name, d in
+             (("a", [1.5e308, 1.7e308]), ("b", [1e308, 1.2e308]), ("s", [1e308, 1e308]))]
+    out, rpt = tmp_path / "x.mat", tmp_path / "r.json"
+    proc = _cli_under_warning_errors("sylvester", "--a", paths[0], "--b", paths[1],
+                                     "--s", paths[2], "--out", out, "--json", rpt)
+    assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(load_matrix(out), 2.0 * np.eye(2))
+    results = _read_report(rpt)["results"]
+    assert 0.0 <= results["residual"] <= 1e-15 * 1e308
+    assert results["solution_norm"] == fro(2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("argv, matrices, message", [
+    (["sylvester", "--a", "a.mat", "--b", "b.mat", "--s", "s.mat", "--out", "x.mat"],
+     {"a": np.diag([1e-300, 2e-300]), "b": np.diag([-1e-300, -2e-300]), "s": 1e300 * np.eye(2)},
+     "normalroots: the Sylvester solution X overflows the float range\n"),
+    (["exp-periodicity", "a.mat", "--k", "1"], {"a": np.full((2, 2), 1e308)},
+     "normalroots: A has an eigenvalue past the float range: e^{iA} is not computable\n"),
+], ids=["sylvester", "exp-periodicity"])
+def test_cli_result_past_the_float_range_exits_1(tmp_path, argv, matrices, message):
+    # Without the checks these exited 0 with inf or NaN entries and a NaN
+    # residual, or stopped on a RuntimeWarning under -W error.
+    for name, M in matrices.items():
+        _write(tmp_path, f"{name}.mat", M.astype(complex))
+    argv = [str(tmp_path / a) if a.endswith(".mat") else a for a in argv]
+    proc = _cli_under_warning_errors(*argv, "--json", tmp_path / "r.json")
+    assert (proc.returncode, proc.stderr) == (1, message)
+    assert not (tmp_path / "x.mat").exists() and not (tmp_path / "r.json").exists()

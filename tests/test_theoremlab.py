@@ -91,6 +91,13 @@ def test_sylvester_dimension_cap():
         sylvester_solve(SylvesterProblem(big + shift, 2 * big, big))
 
 
+def test_sylvester_solution_past_the_float_range_raises():
+    # X = s / (a_i - b_j) has entries 5e599 and 2.5e599, past the float range.
+    a = np.diag([1e-300, 2e-300]).astype(complex)
+    with pytest.raises(LinalgError, match="^the Sylvester solution X overflows the float range$"):
+        sylvester_solve(SylvesterProblem(a, -a, 1e300 * np.eye(2)))
+
+
 def test_sylvester_hermitian_past_the_kronecker_cap(rng):
     # The eigenbasis path builds no Kronecker system, so n = 48 is solved.
     a = random_hermitian(rng, 48) + 20.0 * np.eye(48)
@@ -558,7 +565,7 @@ def _support_points(M):
     # sees them.
     A, B = cartesian_parts(M).re, cartesian_parts(M).im
     band = 1e-10 * (1.0 + fro(M))
-    _, X, _, _, _ = theoremlab._best_angle(A, B, band, linalg.DEFAULT_TOL)
+    _, X, _, _, _ = theoremlab._best_angle(A, B, band)
     return np.einsum("ki,ij,kj->k", X.conj(), M, X)
 
 
@@ -591,13 +598,25 @@ def test_range_witness_adds_support_points_toward_zero():
     M = np.exp(0.7j) * np.array([[0.4, 1.0], [0.0, 0.4]])
     A, B = cartesian_parts(M).re, cartesian_parts(M).im
     thetas = np.pi * np.array([2.0, 3.0, 4.0]) / 3.0 - 0.7
-    _, X, _ = theoremlab._rotated_min(A, B, thetas, linalg.DEFAULT_TOL)
+    _, X, _ = theoremlab._rotated_min(A, B, thetas)
     w = np.einsum("ki,ij,kj->k", X.conj(), M, X)
     phis = np.pi * np.array([1.0, 0.0, -1.0]) / 3.0
     assert np.allclose(w, np.exp(0.7j) * (0.4 + 0.5 * np.exp(1j * phis)))
-    x = theoremlab._support_zero_witness(M, A, B, thetas, X, linalg.DEFAULT_TOL)
+    x = theoremlab._support_zero_witness(M, A, B, thetas, X)
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
     assert abs(x.conj() @ M @ x) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [-600, -599, -300, -1, 0, 1, 299, 600])
+def test_range_witness_closest_edge_fallback(k):
+    # W(diag(0, 1+i)) is the segment [0, 1+i], with 0 a vertex: no fan
+    # triangle holds 0 and the nearest support point is 0 itself, so the
+    # witness is the closest edge's point, e_1, exactly, at every 2^k scale.
+    M = np.diag([0.0, np.ldexp(1.0, k) * (1 + 1j)])
+    rc = numerical_range_contains_zero(M)
+    assert (rc.contains_zero, rc.indeterminate) == (True, True)
+    assert rc.margin == 0.0 and rc.witness_value == 0.0 and rc.witness_angle is None
+    assert np.array_equal(rc.witness_vector, [1.0, 0.0])
 
 
 def test_range_contains_zero_op_memory():
