@@ -31,8 +31,9 @@ rescaled, on its own), or, when its verdict reads only a sign, to
   tridiagonalization, then implicit QL on Python floats, each 2 x 2 block
   that splits off finished in closed form (LAPACK's dlae2), in the core
   ``_eigvals``.  Every caller that reports a value and discards the
-  vectors uses it: ``operator_norm`` (and the CLI ``volterra`` command)
-  and ``theoremlab.spectra_disjoint``; the margins of
+  vectors uses it: ``operator_norm`` (and the CLI ``volterra`` command),
+  ``theoremlab.spectra_disjoint`` and
+  ``theoremlab.exp_periodicity_residual``; the margins of
   ``theoremlab.check_zero_square``, the root classifier's indefinite
   parts and the eigenvalues ``roots.sign_case`` quotes in its
   IndefiniteError come from the core on the exactly Hermitian Cartesian

@@ -35,9 +35,9 @@ from .linalg import (
     _normality,
     _ldexp,
     _psd_within,
+    _SAFMIN,
     _unit_scale,
     as_matrix,
-    expi,
     fro,
     hermitian_eigvals,
 )
@@ -117,8 +117,9 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
     backward error ||R||_F / ((||a||_F + ||b||_F) ||X||_F + ||s||_F) above
     residual (Higham 2002, ch. 16), or ||s||_F / ||X||_F, a bound on sep(a,
     b), within the gap band.  All of it runs on a / 2^e, b / 2^e and s / 2^f
-    (``_scaled_problem``); X is 2^(f - e) times their solution, and a
-    solution past the float range raises LinalgError.
+    (``_scaled_problem``); X is 2^(f - e) times their solution.  LinalgError
+    when that leaves the float range: an entry overflows, or a nonzero
+    solution's largest entry falls below the normal floats.
     """
     a = as_matrix(problem.a, "a")
     b = as_matrix(problem.b, "b")
@@ -160,9 +161,12 @@ def sylvester_solve(problem: SylvesterProblem, tol: Tolerances = DEFAULT_TOL) ->
         raise SingularSylvesterError(
             f"Sylvester system numerically singular: residual {_ldexp(residual, f):.3e}"
         )
+    nonzero = X.any()
     X = _ldexp(X, f - e)
     if not np.isfinite(X).all():
         raise LinalgError("the Sylvester solution X overflows the float range")
+    if nonzero and np.abs(X.view(float)).max() < _SAFMIN:  # the least normal float
+        raise LinalgError("the Sylvester solution X underflows the float range")
     return X
 
 
@@ -781,8 +785,15 @@ def volterra_matrix(n: int) -> np.ndarray:
 
 def exp_periodicity_residual(A, k: int, tol: Tolerances = DEFAULT_TOL) -> float:
     """|| e^{i(A + 2k pi I)} - e^{iA} ||_F for Hermitian A; zero in exact
-    arithmetic for every integer k.  LinalgError when 2 pi k is not a finite
-    float (|k| beyond about 2.9e307)."""
+    arithmetic for every integer k.
+
+    A + 2k pi I shares A's eigenbasis, so the identity is evaluated on A's
+    computed spectrum: with A = V diag(lam) V* and V unitary the norm is
+    ||e^{i(lam + 2k pi)} - e^{i lam}||_2, from one values-only solve
+    (``hermitian_eigvals``), not from two factorizations.  LinalgError when
+    2 pi k is not a finite float (|k| beyond about 2.9e307), or when an
+    eigenvalue of A or of A + 2k pi I lies past the float range.
+    """
     A = as_matrix(A, "A")
     if not isinstance(k, (int, np.integer)):
         raise ValueError("k must be an integer")
@@ -793,5 +804,12 @@ def exp_periodicity_residual(A, k: int, tol: Tolerances = DEFAULT_TOL) -> float:
     if not math.isfinite(shift):
         digits = len(str(abs(int(k))))
         raise LinalgError(f"k of {digits} digits is too large: 2 pi k is not a finite float")
-    shifted = A + shift * np.eye(A.shape[0])
-    return fro(expi(shifted, tol) - expi(A, tol))
+    lam = hermitian_eigvals(A, tol)
+    if not np.isfinite(lam).all():
+        raise LinalgError("A has an eigenvalue past the float range: e^{iA} is not computable")
+    with np.errstate(over="ignore"):
+        shifted = lam + shift
+    if not np.isfinite(shifted).all():
+        raise LinalgError("A + 2 pi k I has an eigenvalue past the float range: "
+                          "e^{i(A + 2k pi I)} is not computable")
+    return float(np.linalg.norm(np.exp(1j * shifted) - np.exp(1j * lam)))

@@ -816,12 +816,19 @@ def test_cli_sylvester_at_the_float_limit(tmp_path):
     (["sylvester", "--a", "a.mat", "--b", "b.mat", "--s", "s.mat", "--out", "x.mat"],
      {"a": np.diag([1e-300, 2e-300]), "b": np.diag([-1e-300, -2e-300]), "s": 1e300 * np.eye(2)},
      "normalroots: the Sylvester solution X overflows the float range\n"),
+    (["sylvester", "--a", "a.mat", "--b", "b.mat", "--s", "s.mat", "--out", "x.mat"],
+     {"a": np.diag([1e300, 2e300]), "b": np.diag([-1e300, -2e300]), "s": 1e-300 * np.eye(2)},
+     "normalroots: the Sylvester solution X underflows the float range\n"),
     (["exp-periodicity", "a.mat", "--k", "1"], {"a": np.full((2, 2), 1e308)},
      "normalroots: A has an eigenvalue past the float range: e^{iA} is not computable\n"),
-], ids=["sylvester", "exp-periodicity"])
+    (["exp-periodicity", "a.mat", "--k", str(10**307)], {"a": np.array([[1.7e308]])},
+     "normalroots: A + 2 pi k I has an eigenvalue past the float range: "
+     "e^{i(A + 2k pi I)} is not computable\n"),
+], ids=["sylvester", "sylvester-underflow", "exp-periodicity", "exp-periodicity-shifted"])
 def test_cli_result_past_the_float_range_exits_1(tmp_path, argv, matrices, message):
-    # Without the checks these exited 0 with inf or NaN entries and a NaN
-    # residual, or stopped on a RuntimeWarning under -W error.
+    # Without the checks these exited 0 with inf, NaN or 0 entries and a NaN
+    # residual or one as large as s, or stopped on a RuntimeWarning under
+    # -W error.
     for name, M in matrices.items():
         _write(tmp_path, f"{name}.mat", M.astype(complex))
     argv = [str(tmp_path / a) if a.endswith(".mat") else a for a in argv]

@@ -98,6 +98,21 @@ def test_sylvester_solution_past_the_float_range_raises():
         sylvester_solve(SylvesterProblem(a, -a, 1e300 * np.eye(2)))
 
 
+def test_sylvester_solution_below_the_float_range_raises():
+    # X = s / (a_i - b_j) has entries 5e-601 and 2.5e-601, which flush to 0.
+    a = np.diag([1e300, 2e300]).astype(complex)
+    with pytest.raises(LinalgError, match="^the Sylvester solution X underflows the float range$"):
+        sylvester_solve(SylvesterProblem(a, -a, 1e-300 * np.eye(2)))
+
+
+def test_sylvester_solution_at_the_bottom_of_the_float_range():
+    # X = 2^-1021 I peaks at a normal float: returned, not refused; X = 0 too.
+    a = np.diag([2.0 ** 512, 2.0 ** 513]).astype(complex)
+    X = sylvester_solve(SylvesterProblem(a, -a, np.diag([2.0 ** -508, 2.0 ** -507])))
+    assert np.array_equal(X, np.ldexp(1.0, -1021) * np.eye(2))
+    assert not sylvester_solve(SylvesterProblem(a, -a, np.zeros((2, 2)))).any()
+
+
 def test_sylvester_hermitian_past_the_kronecker_cap(rng):
     # The eigenbasis path builds no Kronecker system, so n = 48 is solved.
     a = random_hermitian(rng, 48) + 20.0 * np.eye(48)
@@ -1024,11 +1039,42 @@ def test_periodicity_rejects_k_past_the_float_range(k):
 
 
 def test_periodicity_shift_is_unchanged_for_small_k(rng):
+    # The residual is ||e^{i(lam + 2k pi)} - e^{i lam}||_2 on A's computed
+    # spectrum, bit for bit; the two-factorization value it replaced,
+    # ||e^{i(A + 2k pi I)} - e^{iA}||_F, stays within the CLI's bound of it.
     A = random_hermitian(rng, 5)
+    lam = linalg.hermitian_eigvals(A)
     for k in range(-11, 8):
+        residual = exp_periodicity_residual(A, np.int64(k))
+        expected = np.linalg.norm(np.exp(1j * (lam + 2.0 * np.pi * k)) - np.exp(1j * lam))
+        assert residual == expected
         shifted = A + 2.0 * np.pi * k * np.eye(5)
-        expected = fro(linalg.expi(shifted) - linalg.expi(A))
-        assert exp_periodicity_residual(A, np.int64(k)) == expected
+        two_factorizations = fro(linalg.expi(shifted) - linalg.expi(A))
+        assert abs(residual - two_factorizations) <= 1e-11 * 5
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_periodicity_makes_one_values_solve(solve_log, rng, n):
+    A = random_hermitian(rng, n)
+    for k in (-16, 3, 10**12):
+        solve_log.clear()
+        exp_periodicity_residual(A, k)
+        assert solve_log.counts() == {"hermitian": 0, "normal": 0, "stacked": 0, "values": 1,
+                                      "cholesky": 0}
+
+
+@pytest.mark.parametrize("A, k, message", [
+    # lam = 2e308 comes back as inf,
+    (np.full((2, 2), 1e308), 1, "A has an eigenvalue past the float range"),
+    # lam = 1.7e308 is finite, lam + 2 pi k = 2.3e308 is not.
+    (np.array([[1.7e308]]), 10**307, r"A \+ 2 pi k I has an eigenvalue past the float range"),
+    (np.array([[-1.7e308]]), -(10**307), r"A \+ 2 pi k I has an eigenvalue past the float range"),
+], ids=["eigenvalue", "shifted", "shifted-negative"])
+def test_periodicity_spectrum_past_the_float_range_raises(A, k, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinalgError, match=message):
+            exp_periodicity_residual(A, k)
 
 
 def test_periodicity_eigenangle_shift_oracle(rng):
